@@ -1,14 +1,13 @@
 // Parallel scaling of FASTOD (our extension): speedup across thread counts
 // on relations where per-level node counts are large enough to keep
 // workers busy. Output is identical across thread counts (tested in
-// tests/parallel_test.cc and tests/task_graph_test.cc); this bench
-// measures the wall-clock effect of the work-stealing task graph that
-// replaced the per-level merge barrier.
+// tests/parallel_test.cc); this bench measures the wall-clock effect of
+// running each level's per-node stages on a thread pool.
 //
 // The "wide" workload is the CI scaling gate's input: many attributes
 // with the level depth capped, so the lattice is broad (thousands of
-// independent node tasks per level) and the task graph's ready-front
-// stays much wider than the worker count. Each record carries threads,
+// independent nodes per level) and every stage has far more nodes than
+// the worker count. Each record carries threads,
 // speedup vs the 1-thread run of the same workload, and the machine's
 // hardware_concurrency so the gate can scale its expectation to the
 // runner it measured on (a 2-core runner cannot show 3x).
@@ -41,8 +40,8 @@ int main(int argc, char** argv) {
       {"hepatitis-like 155x16", GenHepatitisLike(155, 16, 42), 0},
       {"dbtesma-like 2Kx15", GenDbtesmaLike(2000 * scale, 15, 42), 0},
       // The scaling-gate workload: 18 attributes, depth capped at 4 —
-      // ~4000 lattice nodes across broad levels, each node an
-      // independent validate+product task.
+      // ~4000 lattice nodes across broad levels, each node's
+      // validation and product independent of its siblings'.
       {"wide 2Kx18", GenRandomTable(2000 * scale, 18, 6, 42), 4},
   };
   for (const Workload& w : workloads) {

@@ -1,18 +1,15 @@
 #include "algo/fastod.h"
 
 #include <algorithm>
-#include <atomic>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 #include <utility>
 
 #include "algo/approximate.h"
+#include "algo/node_stages.h"
 #include "api/od_sink.h"
 #include "common/fault.h"
-#include "common/task_graph.h"
-#include "common/thread_pool.h"
 #include "partition/partition_cache.h"
 
 namespace fastod {
@@ -73,40 +70,16 @@ struct NodeOutcome {
   int64_t key_prune_hits = 0;
 };
 
-// One lattice node of the task-graph path. Dependency tracking and the
-// bookkeeping fields (bumps, parents) are guarded by Run::tg_mutex_; the
-// candidate sets and outcome are written only by the node's own task and
-// read only after it finished (FinishNodeTask's mutex acquisition is the
-// release/acquire edge).
-struct TgNode {
-  AttributeSet set;
-  int level = 0;
-  AttributeSet cc;
-  std::vector<PairId> cs;
-  // The node's finished-alive (l-1)-subsets, in finish (arrival) order.
-  std::vector<const TgNode*> parents;
-  int bumps = 0;  // parents recorded so far; == level ⇒ runnable
-  bool ran = false;
-  bool alive = false;  // survives Lemma 11 pruning
-  NodeOutcome outcome;
-  double task_seconds = 0.0;
-};
-
-// Per-level progress of the task-graph path (guarded by Run::tg_mutex_,
-// except the emission itself which is serialized by tg_emitting_).
-struct TgLevel {
-  std::vector<TgNode*> order;    // canonical (sequential) emission order
-  std::vector<TgNode*> created;  // every node minted at this level
-  bool structure_known = false;  // membership final; `expected` valid
-  bool emitted = false;
-  int64_t expected = 0;
-  int64_t finished = 0;
-  double start_seconds = 0.0;  // vs run start, for the occupancy gauge
-  double busy_seconds = 0.0;   // summed task execution time
-};
-
 // The whole per-run state of one discovery, so Discover() stays const and
 // re-entrant on the Fastod object.
+//
+// The lattice is walked level by level. Each per-node stage of a level —
+// candidate sets, validation, the join's partition products — is one
+// NodeStages::ForEach over the level's nodes. A stage writes only its own
+// node's slot and reads the previous level and the partition cache, which
+// no stage mutates; results are merged serially, in node order, on the
+// thread that called Execute(). Emission order therefore does not depend
+// on the thread count.
 class Run {
  public:
   Run(const EncodedRelation& relation, const FastodOptions& options,
@@ -116,27 +89,10 @@ class Run {
         singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
         sorted_(relation),
-        serial_checker_(&relation, &sorted_, options.swap_method),
-        deadline_(options.timeout_seconds > 0.0
-                      ? Deadline::After(options.timeout_seconds)
-                      : Deadline::Infinite()) {
-    if (options_.num_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1,
-                                           "fastod-od");
-    }
-  }
+        stages_(options.num_threads, "fastod-od", options.timeout_seconds,
+                options.control) {}
 
   FastodResult Execute() {
-    return pool_ != nullptr ? ExecuteTaskGraph() : ExecuteSerial();
-  }
-
- private:
-  // ===== Serial level-wise walk (num_threads == 1) =====================
-  // The reference implementation: its node order is the canonical order
-  // the task-graph path reproduces, and its output is the equivalence
-  // oracle for every parallel run (tests/parallel_test.cc).
-
-  FastodResult ExecuteSerial() {
     WallTimer total_timer;
     InitializeLevels();
     const int m = relation_.NumAttributes();
@@ -150,13 +106,15 @@ class Run {
       result_.total_nodes += stats.nodes;
 
       ComputeOds(l, &stats);
-      if (result_.timed_out || result_.cancelled) {
+      // A stop inside the level leaves part of it unvalidated: keep the
+      // partial outcomes, but neither prune nor join from it.
+      if (stages_.stop() != NodeStages::kRunning) {
         FinishLevel(level_timer, &stats);
         break;
       }
       PruneLevels(l, &stats);
       // Skip the apriori join for a level the max_level cap would refuse
-      // anyway (the task-graph path never creates those nodes either).
+      // anyway.
       Level next;
       if (options_.max_level == 0 || l < options_.max_level) {
         next = CalculateNextLevel(l);
@@ -166,24 +124,20 @@ class Run {
       if (options_.control != nullptr && m > 0) {
         options_.control->ReportProgress(static_cast<double>(l) / m);
       }
+      // Also covers a stop during the join, which leaves `next` partial.
+      if (stages_.StopRequested()) break;
 
       previous_ = std::move(current_);
       current_ = std::move(next);
       cache_.EvictBelow(l - 1);
       ++l;
-      if (deadline_.Exceeded()) {
-        result_.timed_out = true;
-        break;
-      }
-      if (Cancelled()) {
-        result_.cancelled = true;
-        break;
-      }
     }
+    result_.timed_out = stages_.stop() == NodeStages::kTimedOut;
+    result_.cancelled = stages_.stop() == NodeStages::kCancelled;
     // A clean finish is 100%; early exits keep the last level's fraction
     // so pollers never see a cancelled/timed-out run as complete.
-    if (options_.control != nullptr && !result_.timed_out &&
-        !result_.cancelled) {
+    if (options_.control != nullptr &&
+        stages_.stop() == NodeStages::kRunning) {
       options_.control->ReportProgress(1.0);
     }
     result_.partition_cache_gets = cache_.gets();
@@ -192,6 +146,7 @@ class Run {
     return std::move(result_);
   }
 
+ private:
   void InitializeLevels() {
     const int64_t n = relation_.NumRows();
     const int m = relation_.NumAttributes();
@@ -220,32 +175,26 @@ class Run {
   // Algorithm 3: candidate-set maintenance plus validation at level l.
   void ComputeOds(int l, FastodLevelStats* stats) {
     const int64_t num_nodes = static_cast<int64_t>(current_.nodes.size());
-    auto parent_of = [this](AttributeSet set) {
-      return previous_.Find(set);
-    };
-    // Phase 1: derive Cc+ / Cs+ for every node from the previous level.
+    // Stage 1: derive Cc+ / Cs+ for every node from the previous level.
     if (options_.minimality_pruning) {
-      for (int64_t i = 0; i < num_nodes; ++i) {
-        ComputeCandidateSets(l, &current_.nodes[i], parent_of);
-      }
+      stages_.ForEach(num_nodes, [&](int64_t i) {
+        ComputeCandidateSets(l, &current_.nodes[i]);
+      });
     }
-    // Phase 2: validate every node against the partition cache.
+    // Stage 2: validate every node against the partition cache.
     std::vector<NodeOutcome> outcomes(num_nodes);
-    for (int64_t i = 0; i < num_nodes; ++i) {
-      if ((i & 0xff) == 0) {
-        if (deadline_.Exceeded()) {
-          result_.timed_out = true;
-          break;
-        }
-        if (Cancelled()) {
-          result_.cancelled = true;
-          break;
-        }
+    stages_.ForEach(num_nodes, [&](int64_t i) {
+      // Per-node fault point: "fail" stops the run like a cancel, "throw"
+      // unwinds through ParallelFor to the session, "sleep" perturbs
+      // completion order for the determinism stress tests.
+      if (FASTOD_FAULT_POINT("lattice.node")) {
+        stages_.RequestStop(NodeStages::kCancelled);
+        return;
       }
-      // Serial: reuse the persistent checker's scratch buffers.
-      ValidateNode(l, &current_.nodes[i], parent_of, &serial_checker_,
-                   &outcomes[i]);
-    }
+      std::unique_ptr<SwapChecker> checker = TakeChecker();
+      ValidateNode(l, &current_.nodes[i], checker.get(), &outcomes[i]);
+      ReturnChecker(std::move(checker));
+    });
     // Merge in node order: deterministic output for any thread count. A
     // sink streams here; emit_ods independently accumulates the vectors.
     for (NodeOutcome& o : outcomes) {
@@ -290,6 +239,12 @@ class Run {
     keys.reserve(blocks.size());
     for (const auto& [key, members] : blocks) keys.push_back(key);
     std::sort(keys.begin(), keys.end());
+    struct Pending {
+      AttributeSet parent_a;
+      AttributeSet parent_b;
+      StrippedPartition product;
+    };
+    std::vector<Pending> pending;
     for (const AttributeSet& key : keys) {
       std::vector<int32_t>& members = blocks[key];
       std::sort(members.begin(), members.end(),
@@ -314,325 +269,28 @@ class Run {
           Node node;
           node.set = candidate;
           next.Add(std::move(node));
-          cache_.Put(l + 1, candidate,
-                     cache_.Get(a).Product(cache_.Get(b)));
+          pending.push_back(Pending{a, b, {}});
         }
       }
+    }
+    // Stage 3: the products, the bulk of the join's cost. Puts follow in
+    // join order, so cache traffic is the same at every thread count.
+    stages_.ForEach(static_cast<int64_t>(pending.size()), [&](int64_t i) {
+      pending[i].product = cache_.Get(pending[i].parent_a)
+                               .Product(cache_.Get(pending[i].parent_b));
+    });
+    for (size_t i = 0; i < pending.size(); ++i) {
+      cache_.Put(l + 1, next.nodes[i].set, std::move(pending[i].product));
     }
     return next;
   }
 
-  // ===== Task-graph execution (num_threads > 1) ========================
-  // One task per lattice node. A node task builds the node's stripped
-  // partition from its two canonical parents, derives Cc+/Cs+, validates,
-  // then bumps each (l+1)-superset's dependency counter — a child spawns
-  // the instant all of its l-subsets have finished alive, with no barrier
-  // between levels. Determinism is restored at emission: per-node
-  // outcomes are buffered, and when a level completes, the cascade
-  // replays Algorithm 2's join order over the level's alive set (which
-  // depends only on validation results, not scheduling) and merges in
-  // exactly the order the serial walk would have used.
-
-  FastodResult ExecuteTaskGraph() {
-    const int m = relation_.NumAttributes();
-    TaskGraph graph(pool_.get());
-    tg_graph_ = &graph;
-    tg_levels_.resize(m + 2);
-
-    // Level 0: the root is finished and alive by construction.
-    cache_.Put(0, AttributeSet::Empty(),
-               StrippedPartition::Universe(relation_.NumRows()));
-    TgNode* root = FindOrCreateTgNode(AttributeSet::Empty(), 0);
-    root->cc = full_set_;
-    root->ran = true;
-    root->alive = true;
-    TgLevel& l0 = tg_levels_[0];
-    l0.order.push_back(root);
-    l0.structure_known = true;
-    l0.emitted = true;
-    l0.expected = 1;
-    l0.finished = 1;
-
-    // Level 1: all singletons, in attribute order (the canonical order).
-    TgLevel& l1 = tg_levels_[1];
-    l1.structure_known = true;
-    l1.expected = m;
-    tg_next_unemitted_ = 1;
-    for (int a = 0; a < m; ++a) {
-      TgNode* node = FindOrCreateTgNode(AttributeSet::Single(a), 1);
-      node->parents.push_back(root);
-      node->bumps = 1;
-      l1.order.push_back(node);
-    }
-    for (TgNode* node : l1.order) SpawnNodeTask(node);
-    graph.Run();
-
-    if (tg_timed_out_.load()) result_.timed_out = true;
-    if (tg_cancelled_.load()) result_.cancelled = true;
-    if (options_.control != nullptr && !result_.timed_out &&
-        !result_.cancelled) {
-      options_.control->ReportProgress(1.0);
-    }
-    result_.tasks_ready = tg_ready_.load(std::memory_order_relaxed);
-    result_.tasks_spawned = graph.spawned();
-    result_.tasks_stolen = graph.stolen();
-    result_.partition_cache_gets = cache_.gets();
-    result_.partition_cache_puts = cache_.puts();
-    result_.seconds = tg_timer_.ElapsedSeconds();
-    return std::move(result_);
-  }
-
-  void SpawnNodeTask(TgNode* node) {
-    tg_ready_.fetch_add(1, std::memory_order_relaxed);
-    tg_graph_->Spawn([this, node] { RunNodeTask(node); });
-  }
-
-  void RunNodeTask(TgNode* node) {
-    WallTimer timer;
-    bool stopped = tg_stop_.load(std::memory_order_acquire);
-    // Task-boundary fault point: "fail" degrades to cooperative
-    // cancellation (the run ends flagged cancelled, like a control
-    // stop); "throw" exercises the TaskGraph exception drain; "sleep"
-    // randomizes completion order for the determinism stress tests.
-    if (!stopped && FASTOD_FAULT_POINT("task_graph.task")) {
-      tg_cancelled_.store(true);
-      tg_stop_.store(true, std::memory_order_release);
-      stopped = true;
-    }
-    if (!stopped) {
-      const int l = node->level;
-      // The node's partition: product of its two canonical parents
-      // (Section 4.6), exactly as the serial join computes it. Both are
-      // cached — a task only becomes ready after every parent finished.
-      if (l == 1) {
-        const int a = node->set.First();
-        cache_.Put(1, node->set,
-                   singletons_ != nullptr
-                       ? (*singletons_)[a]
-                       : StrippedPartition::ForAttribute(relation_.codes(a)));
-      } else {
-        int y1 = -1, y2 = -1;  // the two highest attributes, y1 < y2
-        for (int a = node->set.First(); a >= 0; a = node->set.Next(a)) {
-          y1 = y2;
-          y2 = a;
-        }
-        cache_.Put(l, node->set,
-                   cache_.Get(node->set.Without(y2))
-                       .Product(cache_.Get(node->set.Without(y1))));
-      }
-      auto parent_of = [node](AttributeSet set) -> const TgNode* {
-        for (const TgNode* p : node->parents) {
-          if (p->set == set) return p;
-        }
-        return nullptr;
-      };
-      if (options_.minimality_pruning) {
-        ComputeCandidateSets(l, node, parent_of);
-      }
-      SwapChecker checker(&relation_, &sorted_, options_.swap_method);
-      ValidateNode(l, node, parent_of, &checker, &node->outcome);
-      node->ran = true;
-      node->alive = !(options_.minimality_pruning &&
-                      options_.level_pruning && l >= 2 &&
-                      node->cc.IsEmpty() && node->cs.empty());
-      // Safepoints: deadline and cooperative cancellation, checked at
-      // every task boundary (finer-grained than the serial per-level
-      // checks). A stop lets in-flight tasks drain as cheap no-ops.
-      if (deadline_.Exceeded()) {
-        tg_timed_out_.store(true);
-        tg_stop_.store(true, std::memory_order_release);
-      } else if (Cancelled()) {
-        tg_cancelled_.store(true);
-        tg_stop_.store(true, std::memory_order_release);
-      }
-    }
-    node->task_seconds = timer.ElapsedSeconds();
-    FinishNodeTask(node);
-  }
-
-  // Records a finished task, resolves child dependencies, and drives the
-  // in-order emission cascade.
-  void FinishNodeTask(TgNode* node) {
-    const int m = relation_.NumAttributes();
-    std::vector<TgNode*> runnable;
-    std::unique_lock<std::mutex> lock(tg_mutex_);
-    TgLevel& lv = tg_levels_[node->level];
-    ++lv.finished;
-    lv.busy_seconds += node->task_seconds;
-    const int next_l = node->level + 1;
-    if (node->ran && node->alive && next_l <= m &&
-        (options_.max_level == 0 || next_l <= options_.max_level) &&
-        !tg_stop_.load(std::memory_order_relaxed)) {
-      for (int b = 0; b < m; ++b) {
-        if (node->set.Contains(b)) continue;
-        TgNode* child = FindOrCreateTgNode(node->set.With(b), next_l);
-        child->parents.push_back(node);
-        if (++child->bumps == next_l) runnable.push_back(child);
-      }
-    }
-    Cascade(lock);
-    lock.unlock();
-    // Spawn outside the tracker lock: the child may start (and finish)
-    // on another worker immediately.
-    for (TgNode* child : runnable) SpawnNodeTask(child);
-  }
-
-  // Emits every completed level in order. Called with tg_mutex_ held;
-  // releases it around the emission itself (sinks may block on
-  // backpressure) with tg_emitting_ serializing emitters.
-  void Cascade(std::unique_lock<std::mutex>& lock) {
-    while (tg_next_unemitted_ < static_cast<int>(tg_levels_.size())) {
-      TgLevel& lv = tg_levels_[tg_next_unemitted_];
-      if (!lv.structure_known || lv.finished < lv.expected) return;
-      if (tg_emitting_) return;  // the active emitter re-runs the cascade
-      tg_emitting_ = true;
-      const int v = tg_next_unemitted_;
-      lock.unlock();
-      const bool fully_ran = EmitLevel(v);
-      lock.lock();
-      tg_emitting_ = false;
-      lv.emitted = true;
-      ++tg_next_unemitted_;
-      if (lv.expected == 0) return;  // lattice exhausted
-      if (!fully_ran || tg_stop_.load(std::memory_order_relaxed)) return;
-      PrepareNextLevel(v);
-      // Levels ≤ v are fully finished, so running tasks sit at levels
-      // ≥ v+1 and read partitions at levels ≥ v-1 (a node's deepest
-      // read is its grandparent context X\{A,B}); nodes two levels
-      // down are likewise unreachable. Release both.
-      cache_.EvictBelow(v - 1);
-      if (v >= 2) FreeLevel(v - 2);
-    }
-  }
-
-  // Merges one completed level in canonical node order — the only writer
-  // of result_ on the task-graph path, serialized by tg_emitting_.
-  // Returns false if a stop left part of the level unexecuted (the
-  // partial outcomes are still merged, like the serial timeout path).
-  bool EmitLevel(int v) {
-    TgLevel& lv = tg_levels_[v];
-    if (lv.order.empty()) return true;
-    FastodLevelStats stats;
-    stats.level = v;
-    stats.nodes = lv.expected;
-    bool fully_ran = true;
-    for (TgNode* node : lv.order) {
-      if (!node->ran) {
-        fully_ran = false;
-        continue;
-      }
-      if (!node->alive) ++stats.nodes_pruned;
-      MergeOutcome(&node->outcome, &stats);
-    }
-    result_.total_nodes += lv.expected;
-    const int m = relation_.NumAttributes();
-    if (fully_ran) {
-      result_.levels_processed = v;
-      if (options_.control != nullptr && m > 0) {
-        options_.control->ReportProgress(static_cast<double>(v) / m);
-      }
-    }
-    stats.seconds = tg_timer_.ElapsedSeconds() - lv.start_seconds;
-    const int party = pool_->num_threads() + 1;
-    if (stats.seconds > 0.0) {
-      stats.occupancy =
-          std::min(1.0, lv.busy_seconds / (stats.seconds * party));
-    }
-    if (options_.collect_level_stats) result_.level_stats.push_back(stats);
-    return fully_ran;
-  }
-
-  // Fixes level v+1's membership and canonical order by replaying
-  // Algorithm 2's join over level v's alive nodes. Runs under tg_mutex_
-  // once level v has fully finished, so membership is final: every
-  // candidate with all l-subsets alive has already been created (and
-  // spawned) by dependency bumps. Candidates that can never run — some
-  // subset finished dead — are garbage-collected here.
-  void PrepareNextLevel(int v) {
-    TgLevel& lv = tg_levels_[v];
-    TgLevel& next = tg_levels_[v + 1];
-    next.start_seconds = tg_timer_.ElapsedSeconds();
-    std::unordered_map<AttributeSet, std::vector<int32_t>, AttributeSetHash>
-        blocks;
-    std::vector<TgNode*> alive;
-    alive.reserve(lv.order.size());
-    for (TgNode* n : lv.order) {
-      if (n->alive) alive.push_back(n);
-    }
-    for (int32_t i = 0; i < static_cast<int32_t>(alive.size()); ++i) {
-      AttributeSet set = alive[i]->set;
-      int highest = -1;
-      for (int a = set.First(); a >= 0; a = set.Next(a)) highest = a;
-      blocks[set.Without(highest)].push_back(i);
-    }
-    std::vector<AttributeSet> keys;
-    keys.reserve(blocks.size());
-    for (const auto& [key, members] : blocks) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    for (const AttributeSet& key : keys) {
-      std::vector<int32_t>& members = blocks[key];
-      std::sort(members.begin(), members.end(),
-                [&alive](int32_t x, int32_t y) {
-                  return alive[x]->set < alive[y]->set;
-                });
-      for (size_t i = 0; i < members.size(); ++i) {
-        for (size_t j = i + 1; j < members.size(); ++j) {
-          const AttributeSet candidate =
-              alive[members[i]]->set.Union(alive[members[j]]->set);
-          if (candidate.Count() != v + 1) continue;
-          auto it = tg_nodes_.find(candidate);
-          // Fully-bumped ⇔ all (l-1)-subsets finished alive — the same
-          // predicate as the serial all-subsets-present check.
-          if (it == tg_nodes_.end() || it->second->bumps != v + 1) {
-            continue;
-          }
-          next.order.push_back(it->second.get());
-        }
-      }
-    }
-    next.expected = static_cast<int64_t>(next.order.size());
-    next.structure_known = true;
-    // Drop dependency counters that will never fire: level v is done, so
-    // no further bumps can arrive at level v+1.
-    for (TgNode* n : next.created) {
-      if (n->bumps != v + 1) tg_nodes_.erase(n->set);
-    }
-    next.created.clear();
-  }
-
-  // Releases the nodes of an emitted level once nothing can read them:
-  // their children (the only readers of cc/cs via parent links) have all
-  // finished, and their outcomes were merged at emission.
-  void FreeLevel(int v) {
-    for (TgNode* n : tg_levels_[v].order) tg_nodes_.erase(n->set);
-    tg_levels_[v].order.clear();
-  }
-
-  TgNode* FindOrCreateTgNode(AttributeSet set, int level) {
-    auto it = tg_nodes_.find(set);
-    if (it != tg_nodes_.end()) return it->second.get();
-    auto node = std::make_unique<TgNode>();
-    node->set = set;
-    node->level = level;
-    TgNode* raw = node.get();
-    tg_levels_[level].created.push_back(raw);
-    tg_nodes_.emplace(set, std::move(node));
-    return raw;
-  }
-
-  // ===== Shared validation core ========================================
-  // Generic over the node record and parent lookup: the serial path
-  // passes Level::Find over the previous level, the task-graph path a
-  // scan of the node's parent links. Both return a pointer exposing
-  // .cc/.cs, which is all Algorithm 3 needs.
-
   // Cc+(X) and Cs+(X) from the (l-1)-subsets (Lemma 9 / Alg. 3 line 6).
-  template <typename NodeT, typename ParentFn>
-  void ComputeCandidateSets(int l, NodeT* node, const ParentFn& parent_of) {
+  void ComputeCandidateSets(int l, Node* node) {
     // Cc+(X) = ∩_{A∈X} Cc+(X\A)  (Lemma 9).
     AttributeSet cc = full_set_;
     for (int a = node->set.First(); a >= 0; a = node->set.Next(a)) {
-      const auto* parent = parent_of(node->set.Without(a));
+      const Node* parent = previous_.Find(node->set.Without(a));
       FASTOD_DCHECK(parent != nullptr);
       cc = cc.Intersect(parent->cc);
     }
@@ -650,7 +308,7 @@ class Run {
     //            ∀D ∈ X\{A,B}: {A,B} ∈ Cs+(X\D) }   (Alg. 3 line 6).
     std::vector<PairId> candidates;
     for (int c = node->set.First(); c >= 0; c = node->set.Next(c)) {
-      const auto* parent = parent_of(node->set.Without(c));
+      const Node* parent = previous_.Find(node->set.Without(c));
       FASTOD_DCHECK(parent != nullptr);
       candidates.insert(candidates.end(), parent->cs.begin(),
                         parent->cs.end());
@@ -666,7 +324,7 @@ class Run {
       for (int d = node->set.First(); d >= 0 && in_all;
            d = node->set.Next(d)) {
         if (d == a || d == b) continue;
-        const auto* parent = parent_of(node->set.Without(d));
+        const Node* parent = previous_.Find(node->set.Without(d));
         FASTOD_DCHECK(parent != nullptr);
         if (!SortedContains(parent->cs, p)) in_all = false;
       }
@@ -675,19 +333,17 @@ class Run {
     node->cs = std::move(kept);
   }
 
-  template <typename NodeT, typename ParentFn>
-  void ValidateNode(int l, NodeT* node, const ParentFn& parent_of,
-                    SwapChecker* checker, NodeOutcome* out) {
+  void ValidateNode(int l, Node* node, SwapChecker* checker,
+                    NodeOutcome* out) {
     if (options_.minimality_pruning) {
-      ValidateNodeMinimal(l, node, parent_of, checker, out);
+      ValidateNodeMinimal(l, node, checker, out);
     } else {
       ValidateNodeExhaustive(l, node->set, checker, out);
     }
   }
 
-  template <typename NodeT, typename ParentFn>
-  void ValidateNodeMinimal(int l, NodeT* node, const ParentFn& parent_of,
-                           SwapChecker* checker, NodeOutcome* out) {
+  void ValidateNodeMinimal(int l, Node* node, SwapChecker* checker,
+                           NodeOutcome* out) {
     const StrippedPartition& node_partition = cache_.Get(node->set);
     // --- Constancy side: X\A: [] -> A for A ∈ X ∩ Cc+(X) (Lemma 7). ---
     AttributeSet fd_candidates = node->set.Intersect(node->cc);
@@ -722,8 +378,8 @@ class Run {
       const int a = PairFirst(p);
       const int b = PairSecond(p);
       // Line 18: drop pairs whose endpoints lost FD-candidacy (Propagate).
-      const auto* parent_xb = parent_of(node->set.Without(b));
-      const auto* parent_xa = parent_of(node->set.Without(a));
+      const Node* parent_xb = previous_.Find(node->set.Without(b));
+      const Node* parent_xa = previous_.Find(node->set.Without(a));
       FASTOD_DCHECK(parent_xb != nullptr && parent_xa != nullptr);
       if (!parent_xb->cc.Contains(a) || !parent_xa->cc.Contains(b)) {
         continue;  // removed from Cs+
@@ -782,8 +438,7 @@ class Run {
   }
 
   // Accumulates one node's buffered outcome into the run result, the
-  // level stats, and the sink — the single merge point both execution
-  // paths share, so their emission behavior cannot drift apart.
+  // level stats, and the sink.
   void MergeOutcome(NodeOutcome* o, FastodLevelStats* stats) {
     result_.num_constancy += o->num_constancy;
     result_.num_compatibility += o->num_compatibility;
@@ -847,11 +502,23 @@ class Run {
                               /*opposite=*/true) <= options_.max_error;
   }
 
-  // Deadline expiry (the hard timeout-ms armed on the control) stops the
-  // run at the same safepoints as cancellation; Algorithm::Execute turns
-  // it into a kDeadlineExceeded error afterwards.
-  bool Cancelled() const {
-    return options_.control != nullptr && options_.control->StopRequested();
+  // A node borrows a SwapChecker for its validation so the checkers'
+  // scratch buffers are reused across nodes: at most one checker per
+  // thread ever exists.
+  std::unique_ptr<SwapChecker> TakeChecker() {
+    std::lock_guard<std::mutex> lock(checkers_mutex_);
+    if (checkers_.empty()) {
+      return std::make_unique<SwapChecker>(&relation_, &sorted_,
+                                           options_.swap_method);
+    }
+    std::unique_ptr<SwapChecker> checker = std::move(checkers_.back());
+    checkers_.pop_back();
+    return checker;
+  }
+
+  void ReturnChecker(std::unique_ptr<SwapChecker> checker) {
+    std::lock_guard<std::mutex> lock(checkers_mutex_);
+    checkers_.push_back(std::move(checker));
   }
 
   // Per-node buffers are needed both to materialize (emit_ods) and to
@@ -877,6 +544,16 @@ class Run {
 
   void FinishLevel(const WallTimer& timer, FastodLevelStats* stats) {
     stats->seconds = timer.ElapsedSeconds();
+    const int party = stages_.party();
+    if (party > 1) {
+      // Each node of the level is one work item dispatched to the pool.
+      result_.tasks_ready += stats->nodes;
+      result_.tasks_spawned += stats->nodes;
+      const double busy = stages_.TakeBusySeconds();
+      if (stats->seconds > 0.0) {
+        stats->occupancy = std::min(1.0, busy / (stats->seconds * party));
+      }
+    }
     if (options_.collect_level_stats) result_.level_stats.push_back(*stats);
   }
 
@@ -885,30 +562,15 @@ class Run {
   const std::vector<StrippedPartition>* singletons_;
   AttributeSet full_set_;
   SortedPartitions sorted_;
-  SwapChecker serial_checker_;
-  Deadline deadline_;
-  std::unique_ptr<ThreadPool> pool_;
+  NodeStages stages_;
   PartitionCache cache_;
-  Level previous_;  // serial path: level l-1 node state (final Cc+/Cs+)
-  Level current_;   // serial path: level l
+  Level previous_;  // level l-1 node state (final Cc+/Cs+)
+  Level current_;   // level l
   FastodResult result_;
 
-  // Task-graph state. tg_mutex_ guards the node map, dependency
-  // counters, and level bookkeeping; tg_emitting_ serializes result
-  // emission outside the lock; the atomics are the cross-task stop
-  // signal.
-  TaskGraph* tg_graph_ = nullptr;
-  WallTimer tg_timer_;
-  std::mutex tg_mutex_;
-  std::unordered_map<AttributeSet, std::unique_ptr<TgNode>, AttributeSetHash>
-      tg_nodes_;
-  std::vector<TgLevel> tg_levels_;
-  int tg_next_unemitted_ = 0;
-  bool tg_emitting_ = false;
-  std::atomic<int64_t> tg_ready_{0};
-  std::atomic<bool> tg_stop_{false};
-  std::atomic<bool> tg_timed_out_{false};
-  std::atomic<bool> tg_cancelled_{false};
+  std::mutex checkers_mutex_;
+  std::vector<std::unique_ptr<SwapChecker>> checkers_;  // guarded by
+                                                        // checkers_mutex_
 };
 
 }  // namespace

@@ -81,14 +81,12 @@ struct FastodOptions {
   /// Record per-level statistics (Exp-7).
   bool collect_level_stats = true;
 
-  /// Number of worker threads. 1 = serial level-wise walk. With more
-  /// threads the run switches to the dependency-tracking task graph
-  /// (common/task_graph.h): one task per lattice node, runnable the
-  /// moment all of the node's (l-1)-subsets have finished alive — its
-  /// parents' stripped partitions then exist — scheduled work-stealing
-  /// with no barrier between levels. Output is bit-identical across all
-  /// thread counts: per-node outcomes are buffered and emitted by the
-  /// level cascade in canonical (sequential) node order.
+  /// Number of threads, counting the caller. The lattice is walked level
+  /// by level at every thread count; with more than one thread, each
+  /// per-node stage of a level (candidate sets, validation, partition
+  /// products) is spread over a private pool with ThreadPool::ParallelFor.
+  /// Output is bit-identical across all thread counts: per-node outcomes
+  /// are buffered and merged serially in node order.
   int num_threads = 1;
 
   /// Streaming emission target (api/od_sink.h). When set, every
@@ -102,7 +100,8 @@ struct FastodOptions {
   OdSink* sink = nullptr;
 
   /// Cooperative cancellation + progress (common/cancellation.h), polled
-  /// at the same cadence as the timeout deadline. Must outlive the run.
+  /// with the timeout deadline at every lattice node of every per-node
+  /// stage. Must outlive the run.
   ExecutionControl* control = nullptr;
 
 };
@@ -119,11 +118,10 @@ struct FastodLevelStats {
   int64_t compatibility_found = 0;
   int64_t bidirectional_found = 0;
   double seconds = 0.0;
-  /// Task-graph runs only: fraction [0,1] of the worker-party's wall
-  /// time spent executing this level's node tasks during the level's
-  /// span. Because levels pipeline (a child may start before its
-  /// parents' level finishes emitting), per-level occupancies can sum
-  /// past what a barriered schedule could reach. 0 in serial runs.
+  /// num_threads > 1 only: the level's summed per-node work time over
+  /// (level wall time x party), where the party is the pool's workers
+  /// plus the calling thread — the fraction [0,1] of the party kept busy
+  /// by node work. 0 at num_threads = 1.
   double occupancy = 0.0;
 };
 
@@ -156,12 +154,12 @@ struct FastodResult {
   /// observability layer reports per session.
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
-  /// Task-graph scheduling telemetry (num_threads > 1; all 0 when the
-  /// serial path ran). ready counts lattice nodes whose dependencies
-  /// resolved (all (l-1)-subsets finished alive), spawned counts tasks
-  /// enqueued on the graph, stolen counts tasks a worker took from
-  /// another worker's deque. Published to the obs registry as
-  /// fastod_tasks_{ready,spawned,stolen}_total by the engine adapter.
+  /// Parallel telemetry (num_threads > 1; all 0 at one thread). ready and
+  /// spawned both count the node work items dispatched to the pool — one
+  /// per lattice node, so they equal total_nodes. stolen is always 0:
+  /// the per-level loops share one work counter and nothing is stolen.
+  /// Published to the obs registry as fastod_tasks_{ready,spawned,
+  /// stolen}_total by the engine adapter.
   int64_t tasks_ready = 0;
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;

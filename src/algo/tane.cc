@@ -1,13 +1,12 @@
 #include "algo/tane.h"
 
 #include <algorithm>
-#include <memory>
 #include <unordered_map>
 #include <utility>
 
+#include "algo/node_stages.h"
 #include "api/od_sink.h"
-#include "common/task_graph.h"
-#include "common/thread_pool.h"
+#include "common/fault.h"
 #include "od/attribute_set.h"
 #include "partition/partition_cache.h"
 
@@ -42,14 +41,8 @@ class Run {
         options_(options),
         singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
-        deadline_(options.timeout_seconds > 0.0
-                      ? Deadline::After(options.timeout_seconds)
-                      : Deadline::Infinite()) {
-    if (options_.num_threads > 1) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1,
-                                           "fastod-fd");
-    }
-  }
+        stages_(options.num_threads, "fastod-fd", options.timeout_seconds,
+                options.control) {}
 
   TaneResult Execute() {
     WallTimer timer;
@@ -58,8 +51,17 @@ class Run {
     int l = 1;
     while (!current_.nodes.empty()) {
       if (options_.max_level > 0 && l > options_.max_level) break;
-      result_.total_nodes += static_cast<int64_t>(current_.nodes.size());
-      ComputeDependencies(l);
+      const int64_t num_nodes = static_cast<int64_t>(current_.nodes.size());
+      result_.total_nodes += num_nodes;
+      if (stages_.party() > 1) {
+        // Each node of the level is one work item dispatched to the pool.
+        result_.tasks_ready += num_nodes;
+        result_.tasks_spawned += num_nodes;
+      }
+      ComputeDependencies();
+      // Pruning reads every sibling's final Cc+: a level cut short by a
+      // stop keeps the FDs its validated nodes found and ends the run.
+      if (stages_.stop() != NodeStages::kRunning) break;
       Prune();
       // Skip the join for a level the max_level cap would refuse anyway.
       Level next;
@@ -70,23 +72,19 @@ class Run {
       if (options_.control != nullptr && m > 0) {
         options_.control->ReportProgress(static_cast<double>(l) / m);
       }
+      // Also covers a stop during the join, which leaves `next` partial.
+      if (stages_.StopRequested()) break;
       previous_ = std::move(current_);
       current_ = std::move(next);
       cache_.EvictBelow(l);
       ++l;
-      if (deadline_.Exceeded()) {
-        result_.timed_out = true;
-        break;
-      }
-      if (options_.control != nullptr && options_.control->StopRequested()) {
-        result_.cancelled = true;
-        break;
-      }
     }
+    result_.timed_out = stages_.stop() == NodeStages::kTimedOut;
+    result_.cancelled = stages_.stop() == NodeStages::kCancelled;
     // Early exits keep the last level's fraction; only a clean finish
     // reports 100%.
-    if (options_.control != nullptr && !result_.timed_out &&
-        !result_.cancelled) {
+    if (options_.control != nullptr &&
+        stages_.stop() == NodeStages::kRunning) {
       options_.control->ReportProgress(1.0);
     }
     result_.partition_cache_gets = cache_.gets();
@@ -143,30 +141,21 @@ class Run {
     }
   }
 
-  void ComputeDependencies(int l) {
-    (void)l;
-    const size_t n = current_.nodes.size();
+  void ComputeDependencies() {
+    const int64_t n = static_cast<int64_t>(current_.nodes.size());
     std::vector<std::vector<ConstancyOd>> found(n);
-    if (pool_ == nullptr) {
-      for (size_t i = 0; i < n; ++i) {
-        ProcessNode(&current_.nodes[i], &found[i]);
+    stages_.ForEach(n, [&](int64_t i) {
+      // Per-node fault point, as in FASTOD: "fail" stops the run like a
+      // cancel, "throw" unwinds to the session, "sleep" perturbs
+      // completion order.
+      if (FASTOD_FAULT_POINT("lattice.node")) {
+        stages_.RequestStop(NodeStages::kCancelled);
+        return;
       }
-    } else {
-      // One task per node on the work-stealing scheduler; intra-level
-      // only — Prune() below is a genuine barrier (see tane.h).
-      TaskGraph graph(pool_.get());
-      for (size_t i = 0; i < n; ++i) {
-        graph.Spawn([this, i, &found] {
-          ProcessNode(&current_.nodes[i], &found[i]);
-        });
-      }
-      graph.Run();
-      result_.tasks_ready += static_cast<int64_t>(n);
-      result_.tasks_spawned += graph.spawned();
-      result_.tasks_stolen += graph.stolen();
-    }
+      ProcessNode(&current_.nodes[i], &found[i]);
+    });
     // Merge in node order: deterministic FD emission for any thread
-    // count (the same discipline as FASTOD's level cascade).
+    // count.
     for (const std::vector<ConstancyOd>& f : found) {
       for (const ConstancyOd& fd : f) EmitFd(fd);
     }
@@ -250,26 +239,12 @@ class Run {
         }
       }
     }
-    // The products — the bulk of the join's cost at scale — run as tasks;
-    // puts happen afterwards in join order so cache traffic stays
-    // identical to the serial walk.
-    if (pool_ == nullptr) {
-      for (Pending& p : pending) {
-        p.product = cache_.Get(p.parent_a).Product(cache_.Get(p.parent_b));
-      }
-    } else {
-      TaskGraph graph(pool_.get());
-      for (Pending& p : pending) {
-        graph.Spawn([this, &p] {
-          p.product =
-              cache_.Get(p.parent_a).Product(cache_.Get(p.parent_b));
-        });
-      }
-      graph.Run();
-      result_.tasks_ready += static_cast<int64_t>(pending.size());
-      result_.tasks_spawned += graph.spawned();
-      result_.tasks_stolen += graph.stolen();
-    }
+    // The products, the bulk of the join's cost at scale. Puts follow in
+    // join order, so cache traffic is the same at every thread count.
+    stages_.ForEach(static_cast<int64_t>(pending.size()), [&](int64_t i) {
+      pending[i].product = cache_.Get(pending[i].parent_a)
+                               .Product(cache_.Get(pending[i].parent_b));
+    });
     for (Pending& p : pending) {
       cache_.Put(l + 1, p.set, std::move(p.product));
     }
@@ -290,8 +265,7 @@ class Run {
   const TaneOptions& options_;
   const std::vector<StrippedPartition>* singletons_;
   AttributeSet full_set_;
-  Deadline deadline_;
-  std::unique_ptr<ThreadPool> pool_;
+  NodeStages stages_;
   PartitionCache cache_;
   Level previous_;
   Level current_;

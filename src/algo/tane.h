@@ -39,16 +39,17 @@ struct TaneOptions {
   /// emit_fds, so a run can stream and still render its full report.
   /// Must outlive the run.
   OdSink* sink = nullptr;
-  /// Cooperative cancellation + progress, polled at level boundaries.
+  /// Cooperative cancellation + progress, polled with the timeout at
+  /// every lattice node of every per-node stage.
   ExecutionControl* control = nullptr;
-  /// Worker threads. 1 = serial. With more threads, each level's node
-  /// validations and partition products run as tasks on the shared
-  /// work-stealing scheduler (common/task_graph.h); per-node FD lists
-  /// are merged in node order, so output is bit-identical across thread
-  /// counts. Unlike FASTOD, TANE keeps a barrier at its pruning step:
-  /// key-node minimality (X -> A minimal iff A survives in every
-  /// same-level sibling's Cc+) reads sibling state that is only final
-  /// once the whole level validated.
+  /// Number of threads, counting the caller. The lattice is walked level
+  /// by level at every thread count; with more than one thread, each
+  /// level's node validations and partition products are spread over a
+  /// private pool with ThreadPool::ParallelFor. Per-node FD lists are
+  /// merged serially in node order, so output is bit-identical across
+  /// thread counts. Pruning stays serial: key-node minimality (X -> A
+  /// minimal iff A survives in every same-level sibling's Cc+) reads
+  /// sibling state that is only final once the whole level validated.
   int num_threads = 1;
 };
 
@@ -66,7 +67,8 @@ struct TaneResult {
   /// PartitionCache traffic (see FastodResult).
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
-  /// Task-graph scheduling telemetry (num_threads > 1; see FastodResult).
+  /// Parallel telemetry (num_threads > 1; see FastodResult): one work
+  /// item per lattice node, stolen always 0.
   int64_t tasks_ready = 0;
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;

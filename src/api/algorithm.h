@@ -120,19 +120,18 @@ class Algorithm {
   /// outlive Execute(). Engines that can avoid materializing their result
   /// vectors do so when a sink is attached (see api/od_sink.h).
   ///
-  /// Thread affinity: sink callbacks are always SERIALIZED — the sink
-  /// never sees two concurrent calls from one run — but in multi-threaded
-  /// runs (threads > 1) they are issued from whichever internal worker
-  /// performs the deterministic level merge, which varies per level and
-  /// per run and is generally NOT the thread that called Execute(). A
-  /// sink must therefore not assume thread identity (thread-locals,
-  /// GUI-thread-only APIs); plain non-reentrant state needs no locking.
-  /// Emission order is canonical and thread-count-independent.
+  /// Thread affinity: sink callbacks always arrive on the thread that
+  /// called Execute(), one at a time, at every thread count — internal
+  /// workers only compute per-node results, and the per-level merge that
+  /// emits them runs on the calling thread. A sink therefore needs no
+  /// locking and may use thread-local state. Emission order is canonical
+  /// and thread-count-independent.
   void SetSink(OdSink* sink) { sink_ = sink; }
   /// Attaches a cancellation/progress channel. Must outlive Execute().
-  /// RequestCancel/StopRequested are safe from any thread at any time;
-  /// multi-threaded engines poll it at task boundaries, so observance
-  /// latency is one lattice-node task, same as the serial safepoints.
+  /// RequestCancel/StopRequested are safe from any thread at any time.
+  /// The level-wise engines (fastod, tane) poll it before every lattice
+  /// node of every per-node stage, at every thread count, so a stop is
+  /// observed within one lattice node.
   void SetControl(ExecutionControl* control) { control_ = control; }
 
   // ---- Results ------------------------------------------------------

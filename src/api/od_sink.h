@@ -14,8 +14,9 @@
 // shape; ConditionalOd comes from the conditional engine.
 //
 // Threading contract — single consumer. One Execute() invokes a sink's
-// hooks from exactly one thread (the thread that merges node results), so
-// a sink attached to one algorithm needs no internal locking. Nothing in
+// hooks from exactly one thread (the thread that called Execute(), which
+// merges node results), so a sink attached to one algorithm needs no
+// internal locking. Nothing in
 // the sink implementations here is synchronized: CollectingOdSink's
 // accessors and Clear(), and CountingOdSink's counters, may only be
 // touched before Execute() starts or after it returns — never while a run

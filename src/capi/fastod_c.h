@@ -29,8 +29,9 @@
  * independent; they share only the scheduler's worker pool.
  *
  * Thread affinity: the "threads" option parallelizes the engine
- * internally (a work-stealing task graph over the lattice search); it
- * never changes this API's contract. Results are byte-identical across
+ * internally (each per-node stage of a lattice level is spread over
+ * private workers, and results are merged on the executing thread in
+ * node order); it never changes this API's contract. Results are byte-identical across
  * thread counts, callbacks do not exist at this layer, and the internal
  * workers (named "fastod-od-N" / "fastod-fd-N" in debuggers and
  * profilers) live only for the duration of one execution. Session-less

@@ -4,8 +4,9 @@
 // An ExecutionControl is shared between a caller (typically through
 // api/algorithm.h) and a running engine: the caller flips the cancel flag
 // (or arms a monotonic deadline) from another thread, the engine polls
-// StopRequested() at level boundaries — one check covers both stop
-// reasons — and aborts cleanly with partial results. Progress flows the
+// StopRequested() at its safepoints — every lattice node for fastod and
+// tane — where one check covers both stop reasons, and aborts cleanly
+// with partial results. Progress flows the
 // other way: engines report a coarse [0, 1] fraction (lattice level over
 // attribute count) that frontends may display.
 //

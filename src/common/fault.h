@@ -20,10 +20,14 @@
 // the return value and are then only reachable via "throw". "sleep" is
 // a latency fault: from the Nth hit onward, every hit stalls the calling
 // thread for a short pseudo-random duration derived deterministically
-// from the hit index — it never trips the site's failure path. The
-// scheduler stress tests use it to randomize task completion order at
-// "task_graph.task" and then assert output is order-independent
-// (tests/task_graph_test.cc).
+// from the hit index — it never trips the site's failure path.
+//
+// The points: csv.read, dataset_store.insert, dataset_store.append,
+// partition.build, sink.push, httpd.write, and lattice.node — hit once
+// per lattice node the fastod and tane engines validate, at every thread
+// count, where "fail" stops the run like a cancel. The stress tests put
+// "sleep" on lattice.node to randomize per-node completion order and
+// then assert output is order-independent (tests/parallel_test.cc).
 //
 // With no schedule installed — every production run — a fault point is
 // one relaxed atomic load and a never-taken branch. The registry itself

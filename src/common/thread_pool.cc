@@ -115,8 +115,19 @@ void ThreadPool::DrainLoop(ForLoop* loop) {
     int64_t begin = loop->next.fetch_add(loop->chunk);
     if (begin >= loop->count) break;
     int64_t end = std::min(begin + loop->chunk, loop->count);
-    for (int64_t i = begin; i < end; ++i) {
-      (*loop->body)(i);
+    // A throw must not unwind into WorkerMain (std::thread would call
+    // std::terminate): keep the first exception for the caller and let
+    // the loop drain without running the rest.
+    if (!loop->failed.load(std::memory_order_relaxed)) {
+      try {
+        for (int64_t i = begin; i < end; ++i) {
+          (*loop->body)(i);
+        }
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mutex_);
+        if (!loop->error) loop->error = std::current_exception();
+        loop->failed.store(true, std::memory_order_relaxed);
+      }
     }
     loop->done.fetch_add(end - begin);
   }
@@ -148,6 +159,7 @@ void ThreadPool::ParallelFor(int64_t count,
     });
     active_ = nullptr;
   }
+  if (loop.error) std::rethrow_exception(loop.error);
 }
 
 }  // namespace fastod

@@ -1,15 +1,13 @@
 // A minimal fixed-size thread pool for the discovery algorithms and for
 // session scheduling in the service layer.
 //
-// Two execution shapes are built on these workers. ParallelFor covers
-// fixed iteration spaces (batch partition products, per-node loops in
-// the serial engines). For the dependency-driven lattice search — where
-// a node becomes runnable the moment its parents' partitions exist —
-// common/task_graph.h layers a work-stealing dynamic task scheduler on
-// top of the same pool; see docs/CONCURRENCY.md for the combined
-// thread-safety contract. Results are merged in canonical node order by
-// the engines, keeping output deterministic regardless of thread count
-// (verified by tests/parallel_test.cc).
+// ParallelFor covers fixed iteration spaces: the level-wise engines
+// (algo/fastod.cc, algo/tane.cc, through algo/node_stages.h) run each
+// per-node stage of a lattice level — candidate sets, validation,
+// partition products — as one loop over the level's nodes and merge the
+// per-node results serially in node order, which keeps output identical
+// at every thread count (verified by tests/parallel_test.cc). See
+// docs/CONCURRENCY.md for the thread-safety contract.
 //
 // Submit() adds fire-and-forget task scheduling on the same workers: the
 // DiscoveryService (service/discovery_service.h) queues whole discovery
@@ -24,6 +22,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -38,7 +37,7 @@ class ThreadPool {
   /// (pthread_setname_np truncates to 15 characters), so pool threads
   /// are attributable in gdb/top/TSan reports. The default prefix marks
   /// the shared service pool; engine-private pools pass their own (see
-  /// algo/fastod.cc).
+  /// algo/node_stages.h).
   explicit ThreadPool(int num_threads,
                       const char* name_prefix = "fastod-wkr");
   ~ThreadPool();
@@ -51,6 +50,11 @@ class ThreadPool {
   /// Runs body(i) for every i in [0, count), distributing dynamically in
   /// chunks; blocks until all iterations finish. The calling thread
   /// participates. body must be safe to call concurrently for distinct i.
+  /// If body throws, the first exception is captured, the iterations not
+  /// yet started are skipped, and the exception is rethrown on the caller
+  /// once every worker has left the loop; the pool stays usable. One loop
+  /// runs at a time: ParallelFor must not be called concurrently on the
+  /// same pool.
   void ParallelFor(int64_t count, const std::function<void(int64_t)>& body);
 
   /// Enqueues a task for execution on the next free worker and returns
@@ -80,6 +84,9 @@ class ThreadPool {
     std::atomic<int64_t> done{0};
     int refs = 0;  // workers currently draining; guarded by mutex_
     const std::function<void(int64_t)>* body = nullptr;
+    // Set by the first throwing iteration; later chunks are skipped.
+    std::atomic<bool> failed{false};
+    std::exception_ptr error;  // guarded by mutex_
   };
 
   void WorkerMain();

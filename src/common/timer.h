@@ -25,7 +25,8 @@ class WallTimer {
   Clock::time_point start_;
 };
 
-/// A soft wall-clock budget: algorithms poll Exceeded() at level boundaries
+/// A soft wall-clock budget: algorithms poll Exceeded() at their safepoints
+/// (every lattice node for fastod and tane, level boundaries elsewhere)
 /// and abort cleanly, mirroring the paper's "* 5h" timeout handling.
 class Deadline {
  public:

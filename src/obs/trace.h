@@ -40,8 +40,8 @@ struct LevelStats {
   int64_t key_prune_hits = 0;    // validations skipped via Lemmas 12-13
   int64_t ods_found = 0;
   double seconds = 0.0;
-  /// Worker-busy fraction while the task graph processed this level,
-  /// in [0, 1]; 0 for serial runs and engines without a task graph.
+  /// Summed per-node work time over (level wall time x threads), in
+  /// [0, 1]; 0 for one-thread runs and engines without parallel stages.
   double occupancy = 0.0;
 };
 
@@ -59,10 +59,10 @@ struct EngineStats {
   int64_t ods_emitted = 0;
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
-  /// Task-graph scheduling counters (num_threads > 1 runs of fastod /
-  /// approximate / tane; zero otherwise). ready counts nodes whose
-  /// dependencies completed, spawned counts tasks handed to the
-  /// scheduler, stolen counts cross-worker deque steals.
+  /// Parallel-stage counters (num_threads > 1 runs of fastod /
+  /// approximate / tane; zero otherwise). ready and spawned both count
+  /// the lattice nodes dispatched to the engine's pool; stolen is always
+  /// 0 (kept for the trace and metrics schema).
   int64_t tasks_ready = 0;
   int64_t tasks_spawned = 0;
   int64_t tasks_stolen = 0;

@@ -20,13 +20,14 @@
 namespace fastod {
 
 // Thread-safety: reads (Get/Contains/NumCached/TotalElements) take a
-// shared lock, writes (Put/EvictBelow) an exclusive one, so the
-// task-graph search can insert a node's partition while sibling tasks
-// look parents up. References returned by Get stay valid under
-// concurrent Put (std::unordered_map never invalidates references on
-// insert) and under the engines' eviction discipline: EvictBelow(v-1)
-// is only called once every task that could read a level < v-1
-// partition has finished (see docs/CONCURRENCY.md). Overwriting an
+// shared lock, writes (Put/EvictBelow) an exclusive one, so concurrent
+// readers never see a torn map. The level-wise engines only put and
+// evict between their per-node stages, on one thread, while no node
+// reads. References returned by Get stay valid under concurrent Put
+// (std::unordered_map never invalidates references on insert) and under
+// the engines' eviction discipline: EvictBelow(v-1) is only called once
+// every node that could read a level < v-1 partition has finished (see
+// docs/CONCURRENCY.md). Overwriting an
 // existing key while a reader holds its reference is NOT safe — the
 // level-wise engines never do (each Π*_X is put exactly once).
 class PartitionCache {

@@ -155,7 +155,7 @@ class DiscoveryService {
 
   /// Stops the worker pool: runs every already-accepted session to
   /// completion, then returns. Running engines (including multi-threaded
-  /// task-graph runs on their private pools) finish normally; they are
+  /// runs on their private pools) finish normally; they are
   /// NOT cancelled — pair with CancelAll() for a fast drain. From the
   /// moment Shutdown() begins, Submit() of further sessions fails them
   /// with kUnavailable instead of queueing work no worker will take

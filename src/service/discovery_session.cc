@@ -260,29 +260,29 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
       ->Inc(stats.partition_cache_puts);
   registry
       .GetCounter("fastod_tasks_ready_total",
-                  "Lattice nodes whose dependencies completed and that "
-                  "became runnable on the task graph",
+                  "Lattice nodes dispatched to an engine's worker pool",
                   by_algorithm)
       ->Inc(stats.tasks_ready);
   registry
       .GetCounter("fastod_tasks_spawned_total",
-                  "Tasks handed to the work-stealing scheduler",
+                  "Node work items handed to an engine's worker pool",
                   by_algorithm)
       ->Inc(stats.tasks_spawned);
   registry
       .GetCounter("fastod_tasks_stolen_total",
-                  "Tasks executed by a worker other than the one whose "
-                  "deque received them",
+                  "Work items taken from another worker (always 0: the "
+                  "per-level loops share one work counter)",
                   by_algorithm)
       ->Inc(stats.tasks_stolen);
   // Worker-busy fraction per lattice level, from the most recent
-  // task-graph run of this algorithm (gauge semantics: last run wins).
+  // multi-threaded run of this algorithm (gauge semantics: last run
+  // wins).
   for (const obs::LevelStats& level : stats.levels) {
     if (level.occupancy <= 0.0) continue;
     registry
         .GetGauge("fastod_task_graph_level_occupancy_permille",
-                  "Worker-busy fraction (in 1/1000ths) while the task "
-                  "graph processed one lattice level (most recent run)",
+                  "Worker-busy fraction (in 1/1000ths) while the engine "
+                  "processed one lattice level (most recent run)",
                   {{"algorithm", algorithm},
                    {"level", std::to_string(level.level)}})
         ->Set(static_cast<int64_t>(level.occupancy * 1000.0));

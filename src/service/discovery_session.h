@@ -17,7 +17,8 @@
 // when the session turned terminal. Terminal sessions are immutable.
 //
 // Cancellation is cooperative (common/cancellation.h): a cancel requested
-// while the engine is mid-run is honored at its next level boundary and
+// while the engine is mid-run is honored at its next safepoint (the next
+// lattice node for fastod and tane, the next level boundary elsewhere) and
 // the session keeps the partial results the engine reported; a cancel
 // before the worker picks the session up skips the run entirely.
 #ifndef FASTOD_SERVICE_DISCOVERY_SESSION_H_

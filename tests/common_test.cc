@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 
 namespace fastod {
@@ -152,6 +155,23 @@ TEST(DeadlineTest, ZeroBudgetExpiresImmediately) {
   volatile int64_t sink = 0;
   for (int i = 0; i < 100000; ++i) sink = sink + i;
   EXPECT_TRUE(d.Exceeded());
+}
+
+// A throwing ParallelFor body must not reach std::terminate on a worker:
+// the first exception is rethrown on the caller after the loop drains,
+// and the same pool then runs the next loop in full.
+TEST(ThreadPoolTest, ParallelForRethrowsOnCallerAndPoolStaysUsable) {
+  ThreadPool pool(3);
+  EXPECT_THROW(pool.ParallelFor(1000,
+                                [](int64_t i) {
+                                  if (i == 617) {
+                                    throw std::runtime_error("iteration");
+                                  }
+                                }),
+               std::runtime_error);
+  std::atomic<int64_t> ran{0};
+  pool.ParallelFor(1000, [&](int64_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 1000);
 }
 
 }  // namespace
