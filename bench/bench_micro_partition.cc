@@ -1,19 +1,55 @@
 // Micro-benchmarks (google-benchmark) for the Section 4.6 machinery that
-// dominates FASTOD's runtime: dictionary encoding, single-attribute
-// partition construction, the linear partition product, both swap-check
-// strategies, and the O(1)-after-product FD error check.
+// dominates FASTOD's runtime: CSV ingest and dictionary encoding,
+// single-attribute partition construction, the linear partition product,
+// both swap-check strategies, and the O(1)-after-product FD error check.
 #include <benchmark/benchmark.h>
+#include <malloc.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstdlib>
 #include <cstring>
+#include <map>
+#include <new>
 #include <unordered_map>
 #include <vector>
 
+#include "../tests/csv_reference.h"
 #include "bench_util.h"
+#include "data/csv.h"
 #include "data/encode.h"
 #include "gen/generators.h"
 #include "partition/sorted_partition.h"
 #include "partition/stripped_partition.h"
+
+// Heap accounting for the ingest memory figure: while tracking is on,
+// every allocation and free adjusts the live byte count and its peak.
+namespace {
+std::atomic<bool> g_heap_tracking{false};
+std::atomic<int64_t> g_heap_live{0};
+std::atomic<int64_t> g_heap_peak{0};
+}  // namespace
+
+void* operator new(size_t size) {
+  void* p = std::malloc(size == 0 ? 1 : size);
+  if (p == nullptr) throw std::bad_alloc();
+  if (g_heap_tracking.load(std::memory_order_relaxed)) {
+    int64_t live = g_heap_live += static_cast<int64_t>(malloc_usable_size(p));
+    int64_t peak = g_heap_peak.load(std::memory_order_relaxed);
+    while (live > peak && !g_heap_peak.compare_exchange_weak(peak, live)) {
+    }
+  }
+  return p;
+}
+
+void operator delete(void* p) noexcept {
+  if (p != nullptr && g_heap_tracking.load(std::memory_order_relaxed)) {
+    g_heap_live -= static_cast<int64_t>(malloc_usable_size(p));
+  }
+  std::free(p);
+}
+
+void operator delete(void* p, size_t) noexcept { operator delete(p); }
 
 namespace {
 
@@ -36,6 +72,62 @@ void BM_Encode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Encode)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The FlightTable prefix rendered as CSV: the bytes ingest parses.
+const std::string& FlightCsv(int64_t rows) {
+  static std::map<int64_t, std::string> cache;
+  auto it = cache.find(rows);
+  if (it == cache.end()) {
+    it = cache.emplace(rows, WriteCsvString(FlightTable(rows).Head(rows)))
+             .first;
+  }
+  return it->second;
+}
+
+void CsvCounters(benchmark::State& state) {
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.SetBytesProcessed(
+      state.iterations() *
+      static_cast<int64_t>(FlightCsv(state.range(0)).size()));
+}
+
+// One-pass ingest: CSV bytes -> EncodedRelation.
+void BM_EncodeCsv(benchmark::State& state) {
+  const std::string& text = FlightCsv(state.range(0));
+  for (auto _ : state) {
+    auto rel = EncodeCsvString(text);
+    benchmark::DoNotOptimize(rel);
+  }
+  CsvCounters(state);
+}
+BENCHMARK(BM_EncodeCsv)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The library's Table path over the same bytes: ReadCsvString (sharing
+// EncodeCsv's tokenizer and interning) and then FromTable.
+void BM_ReadCsvThenFromTable(benchmark::State& state) {
+  const std::string& text = FlightCsv(state.range(0));
+  for (auto _ : state) {
+    auto table = ReadCsvString(text);
+    auto rel = EncodedRelation::FromTable(*table);
+    benchmark::DoNotOptimize(rel);
+  }
+  CsvCounters(state);
+}
+BENCHMARK(BM_ReadCsvThenFromTable)->Arg(1000)->Arg(10000)->Arg(100000);
+
+// The two-step ingest one-pass encoding replaced (tests/csv_reference.h:
+// string records, a row-built Table, a comparison sort of all n rows per
+// column) — the same-run baseline of the CI ingest gate.
+void BM_EncodeCsvRowSortBaseline(benchmark::State& state) {
+  const std::string& text = FlightCsv(state.range(0));
+  for (auto _ : state) {
+    auto table = ReferenceReadCsv(text, CsvOptions());
+    EncodedRelation rel = ReferenceEncode(*table);
+    benchmark::DoNotOptimize(rel);
+  }
+  CsvCounters(state);
+}
+BENCHMARK(BM_EncodeCsvRowSortBaseline)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_PartitionForAttribute(benchmark::State& state) {
   auto rel =
@@ -235,6 +327,54 @@ void ReportDataPlaneFootprint() {
                             extra);
 }
 
+// Peak heap bytes allocated while `fn` runs.
+template <typename Fn>
+int64_t PeakHeapBytes(Fn&& fn) {
+  g_heap_live = 0;
+  g_heap_peak = 0;
+  g_heap_tracking = true;
+  fn();
+  g_heap_tracking = false;
+  return g_heap_peak.load();
+}
+
+// The ingest memory figure, reported once per run like the footprint
+// above: peak heap during one EncodeCsvString call (the input text is
+// the caller's and not counted) over the code bytes it produces, next to
+// the same ratio for the library's Table path.
+void ReportIngestMemory() {
+  const int64_t rows = 100000;
+  const std::string& text = FlightCsv(rows);
+  WallTimer timer;
+  int64_t code_bytes = 0;
+  const int64_t encode_peak = PeakHeapBytes([&] {
+    auto rel = EncodeCsvString(text);
+    code_bytes = rel->NumRows() * rel->NumAttributes() *
+                 static_cast<int64_t>(sizeof(uint32_t));
+  });
+  const double seconds = timer.ElapsedSeconds();
+  const int64_t table_peak = PeakHeapBytes([&] {
+    auto table = ReadCsvString(text);
+    auto rel = EncodedRelation::FromTable(*table);
+    benchmark::DoNotOptimize(rel);
+  });
+  const double ratio = static_cast<double>(encode_peak) / code_bytes;
+  const double table_ratio = static_cast<double>(table_peak) / code_bytes;
+  std::printf(
+      "ingest memory (%lld rows): EncodeCsvString peak %.1f MB = %.2fx the "
+      "%.1f MB of codes (ReadCsvString+FromTable: %.2fx)\n",
+      static_cast<long long>(rows), encode_peak / 1e6, ratio,
+      code_bytes / 1e6, table_ratio);
+  char extra[256];
+  std::snprintf(extra, sizeof(extra),
+                "\"peak_heap_bytes\": %lld, \"code_bytes\": %lld, "
+                "\"peak_over_code_bytes\": %.3f, "
+                "\"table_path_peak_over_code_bytes\": %.3f",
+                static_cast<long long>(encode_peak),
+                static_cast<long long>(code_bytes), ratio, table_ratio);
+  fastod::bench::RecordJson("ingest_memory/100000x12", seconds, extra);
+}
+
 // Tees every google-benchmark run into the shared --json recorder as a
 // {bench, params, seconds} record (per-iteration real time), alongside
 // the normal console table.
@@ -274,6 +414,7 @@ int main(int argc, char** argv) {
     return 1;
   }
   ReportDataPlaneFootprint();
+  ReportIngestMemory();
   JsonTeeReporter reporter;
   benchmark::RunSpecifiedBenchmarks(&reporter);
   benchmark::Shutdown();

@@ -33,7 +33,6 @@ using fastod::SessionId;
 using fastod::SessionState;
 using fastod::Status;
 using fastod::StatusCode;
-using fastod::Table;
 
 int CodeOf(const Status& status) {
   switch (status.code()) {
@@ -263,13 +262,14 @@ fastod_dataset_t* fastod_dataset_load_csv_opts(const char* path,
   options.delimiter = delimiter;
   options.has_header = has_header != 0;
   options.max_rows = max_rows;
-  fastod::Result<Table> table = fastod::ReadCsvFile(path, options);
-  if (!table.ok()) {
-    ThreadError() = table.status().message();
+  fastod::Result<fastod::EncodedRelation> relation =
+      fastod::EncodeCsvFile(path, options);
+  if (!relation.ok()) {
+    ThreadError() = relation.status().message();
     return nullptr;
   }
   fastod::Result<std::shared_ptr<const LoadedDataset>> dataset =
-      LoadedDataset::Build(path, *std::move(table),
+      LoadedDataset::Build(path, *std::move(relation),
                            std::string("csv:") + path);
   if (!dataset.ok()) {
     ThreadError() = dataset.status().message();
@@ -302,7 +302,8 @@ fastod_dataset_t* fastod_dataset_append_rows(const fastod_dataset_t* dataset,
   }
   CsvOptions options;
   options.has_header = false;  // deltas are data-only
-  fastod::Result<Table> delta = fastod::ReadCsvString(csv_text, options);
+  fastod::Result<fastod::EncodedRelation> delta =
+      fastod::EncodeCsvString(csv_text, options);
   if (!delta.ok()) {
     ThreadError() = delta.status().message();
     return nullptr;

@@ -100,7 +100,8 @@ struct CsvFlags {
     flags->AddInt("max-rows", &max_rows, "read at most N data rows (-1=all)");
   }
 
-  Result<Table> Load(const std::string& path) const {
+  Result<EncodedRelation> Load(const std::string& path,
+                               CsvIngestTimes* times = nullptr) const {
     CsvOptions options;
     if (delimiter.size() != 1) {
       return Status::InvalidArgument("--delimiter must be one character");
@@ -108,7 +109,7 @@ struct CsvFlags {
     options.delimiter = delimiter[0];
     options.has_header = !no_header;
     options.max_rows = max_rows;
-    return ReadCsvFile(path, options);
+    return EncodeCsvFile(path, options, times);
   }
 };
 
@@ -282,14 +283,17 @@ CliResult Discover(const std::vector<std::string>& args) {
   // `discover` drives the algorithm directly, without a session.
   obs::TraceRecorder trace;
   double start = trace.Now();
-  Result<Table> table = csv.Load(positional[0]);
-  if (!table.ok()) return Fail(table.status());
-  if (stats) trace.RecordSpan("csv.parse", start, trace.Now() - start);
-  start = trace.Now();
-  if (Status s = (*algo)->LoadData(std::move(table).value()); !s.ok()) {
+  CsvIngestTimes times;
+  Result<EncodedRelation> relation = csv.Load(positional[0], &times);
+  if (!relation.ok()) return Fail(relation.status());
+  if (stats) {
+    trace.RecordSpan("csv.parse", start, times.parse_seconds);
+    trace.RecordSpan("encode", start + times.parse_seconds,
+                     times.encode_seconds);
+  }
+  if (Status s = (*algo)->LoadData(*std::move(relation)); !s.ok()) {
     return Fail(s);
   }
-  if (stats) trace.RecordSpan("encode", start, trace.Now() - start);
   start = trace.Now();
   if (Status s = (*algo)->Execute(); !s.ok()) return Fail(s);
   CliResult result;
@@ -329,9 +333,7 @@ CliResult Validate(const std::vector<std::string>& args) {
     return Fail(Status::InvalidArgument(
         "validate expects exactly one CSV path"));
   }
-  Result<Table> table = csv.Load(flags.positional()[0]);
-  if (!table.ok()) return Fail(table.status());
-  Result<EncodedRelation> rel = EncodedRelation::FromTable(*table);
+  Result<EncodedRelation> rel = csv.Load(flags.positional()[0]);
   if (!rel.ok()) return Fail(rel.status());
   Result<DirectedSpec> lhs = ParseDirectedSpec(lhs_text, rel->schema());
   if (!lhs.ok()) return Fail(lhs.status());
@@ -371,9 +373,7 @@ CliResult Violations(const std::vector<std::string>& args) {
     return Fail(Status::InvalidArgument(
         "violations expects exactly one CSV path"));
   }
-  Result<Table> table = csv.Load(flags.positional()[0]);
-  if (!table.ok()) return Fail(table.status());
-  Result<EncodedRelation> rel = EncodedRelation::FromTable(*table);
+  Result<EncodedRelation> rel = csv.Load(flags.positional()[0]);
   if (!rel.ok()) return Fail(rel.status());
   Result<DirectedSpec> lhs = ParseDirectedSpec(lhs_text, rel->schema());
   if (!lhs.ok()) return Fail(lhs.status());

@@ -83,8 +83,15 @@ class ValueDictionary {
   class Builder {
    public:
     /// Appends the value for the next code. Values must arrive in
-    /// ascending order — exactly the order FromTable discovers ranks.
+    /// ascending order — exactly the order AssignCodes (data/encode.h)
+    /// discovers codes.
     void Add(const Value& value);
+    void AddNull();
+    void AddInt(int64_t value);
+    void AddDouble(double value);
+    void AddString(std::string_view value);
+    /// Appends `source`'s entry for `code` without materializing a Value.
+    void AddFrom(const ValueDictionary& source, int32_t code);
     ValueDictionary Build();
 
    private:
@@ -104,6 +111,12 @@ class ValueDictionary {
   /// Value total order (<0, 0, >0).
   int Compare(int32_t code, const Value& v) const;
 
+  /// Three-way comparison of this dictionary's value for `code` against
+  /// `other`'s value for `other_code` under the Value total order (<0, 0,
+  /// >0), read straight off the flat storage.
+  int Compare(int32_t code, const ValueDictionary& other,
+              int32_t other_code) const;
+
   /// Rendered form of the interned value ("NULL", "42", raw string).
   std::string ToString(int32_t code) const;
 
@@ -113,6 +126,9 @@ class ValueDictionary {
                                 slots_.capacity() * sizeof(int64_t) +
                                 arena_.capacity());
   }
+
+  /// Byte-for-byte equality of the flat storage (doubles by bit pattern).
+  bool operator==(const ValueDictionary& other) const = default;
 
  private:
   std::string_view StringAt(int32_t code) const;

@@ -2,124 +2,344 @@
 
 #include "common/fault.h"
 
+#include <algorithm>
+#include <cmath>
+#include <compare>
+#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <utility>
 #include <vector>
 
 #include "common/string_util.h"
+#include "common/timer.h"
 
 namespace fastod {
 
 namespace {
 
-// Splits CSV text into records of raw fields, honoring quotes. Returns an
-// error for unterminated quoted fields.
-Result<std::vector<std::vector<std::string>>> Tokenize(const std::string& text,
-                                                       char delim) {
-  std::vector<std::vector<std::string>> records;
-  std::vector<std::string> record;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;  // true once the current record has content
-  size_t i = 0;
-  auto end_field = [&]() {
-    record.push_back(std::move(field));
-    field.clear();
-  };
-  auto end_record = [&]() {
-    end_field();
-    records.push_back(std::move(record));
-    record.clear();
-    field_started = false;
-  };
-  while (i < text.size()) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';  // escaped quote
-          i += 2;
+constexpr std::string_view kUtf8Bom = "\xEF\xBB\xBF";
+
+enum class FieldEnd { kDelimiter, kNewline, kEndOfText };
+
+// The CSV tokenizer. Calls on_field(content) for every field of every
+// record, then on_record() after each record's last field. Blank lines
+// are skipped. Outside quotes '\r' is dropped; a '"' opens a quoted
+// section only while the field is still empty, and inside one "" is a
+// literal quote. Content is a slice of `text` unless the field needed
+// unescaping, in which case it views a scratch buffer that the next
+// field overwrites. Fails only on an unterminated quoted field.
+template <typename OnField, typename OnRecord>
+Status Tokenize(std::string_view text, char delim, OnField&& on_field,
+                OnRecord&& on_record) {
+  std::string scratch;
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  bool record_started = false;
+  while (true) {
+    std::string_view field;
+    bool touched = false;  // the field holds content or a quote
+    FieldEnd field_end = FieldEnd::kEndOfText;
+    const char* q = p;
+    bool plain = q == end || *q != '"';
+    if (plain) {
+      while (q < end && *q != delim && *q != '\n' && *q != '\r') ++q;
+      plain = q == end || *q != '\r' || delim == '\r';
+    }
+    if (plain) {
+      field = std::string_view(p, q - p);
+      touched = q > p;
+      if (q < end) field_end = *q == delim ? FieldEnd::kDelimiter
+                                           : FieldEnd::kNewline;
+      p = q == end ? end : q + 1;
+    } else {
+      scratch.clear();
+      q = p;
+      bool in_quotes = false;
+      while (q < end) {
+        if (in_quotes) {
+          const void* hit = std::memchr(q, '"', end - q);
+          const char* quote = hit == nullptr ? end
+                                             : static_cast<const char*>(hit);
+          scratch.append(q, quote);
+          q = quote;
+          if (q == end) break;
+          if (q + 1 < end && q[1] == '"') {
+            scratch += '"';  // escaped quote
+            q += 2;
+          } else {
+            in_quotes = false;
+            ++q;
+          }
           continue;
         }
-        in_quotes = false;
-        ++i;
-        continue;
+        const char c = *q;
+        if (c == '"' && scratch.empty()) {
+          in_quotes = true;
+          touched = true;
+          ++q;
+          continue;
+        }
+        if (c == delim) {
+          field_end = FieldEnd::kDelimiter;
+          ++q;
+          break;
+        }
+        if (c == '\n') {
+          field_end = FieldEnd::kNewline;
+          ++q;
+          break;
+        }
+        if (c != '\r') {  // '\r' is swallowed; "\r\n" ends at the '\n'
+          scratch += c;
+          touched = true;
+        }
+        ++q;
       }
-      field += c;
-      ++i;
-      continue;
+      if (in_quotes) {
+        return Status::InvalidArgument("unterminated quoted CSV field");
+      }
+      field = scratch;
+      p = q;
     }
-    if (c == '"' && field.empty()) {
-      in_quotes = true;
-      field_started = true;
-      ++i;
-      continue;
+    record_started = record_started || touched;
+    switch (field_end) {
+      case FieldEnd::kDelimiter:
+        on_field(field);
+        record_started = true;
+        break;
+      case FieldEnd::kNewline:
+        if (record_started) {
+          on_field(field);
+          on_record();
+          record_started = false;
+        }
+        break;
+      case FieldEnd::kEndOfText:
+        if (record_started) {
+          on_field(field);
+          on_record();
+        }
+        return Status::Ok();
     }
-    if (c == delim) {
-      end_field();
-      field_started = true;
-      ++i;
-      continue;
-    }
-    if (c == '\n') {
-      if (field_started || !field.empty()) end_record();
-      ++i;
-      continue;
-    }
-    if (c == '\r') {  // swallow; \r\n handled by the \n branch
-      ++i;
-      continue;
-    }
-    field += c;
-    field_started = true;
-    ++i;
   }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted CSV field");
-  }
-  if (field_started || !field.empty()) end_record();
-  return records;
 }
 
-DataType InferColumnType(const std::vector<std::vector<std::string>>& records,
-                         size_t first_data_row, size_t col, int64_t max_rows) {
-  bool all_int = true;
-  bool all_double = true;
-  bool any_value = false;
-  int64_t seen = 0;
-  for (size_t r = first_data_row; r < records.size(); ++r) {
-    if (max_rows >= 0 && seen >= max_rows) break;
-    ++seen;
-    if (col >= records[r].size()) continue;
-    std::string_view f = Trim(records[r][col]);
-    if (f.empty()) continue;  // NULL, no evidence
-    any_value = true;
-    if (all_int && !ParseInt(f).has_value()) all_int = false;
-    if (!all_int && all_double && !ParseDouble(f).has_value()) {
-      all_double = false;
-      break;
-    }
+// One column's interned field bytes: the distinct trimmed values in
+// first-seen order, back to back in `bytes`, and every row's local id.
+struct InternedColumn {
+  std::vector<uint32_t> ids;
+  std::string bytes;
+  std::vector<size_t> offsets{0};  // value i is bytes[offsets[i], [i+1])
+  FirstSeenIds index;
+  int32_t null_id = -1;  // the empty value's id, if any
+
+  uint32_t size() const { return static_cast<uint32_t>(offsets.size() - 1); }
+
+  std::string_view value(uint32_t id) const {
+    return std::string_view(bytes.data() + offsets[id],
+                            offsets[id + 1] - offsets[id]);
   }
-  if (!any_value) return DataType::kString;
-  if (all_int) return DataType::kInt;
-  if (all_double) return DataType::kDouble;
-  return DataType::kString;
+
+  void Add(std::string_view field) {
+    field = Trim(field);
+    bool inserted = false;
+    const uint32_t id = index.Intern(
+        InternHash(field), [&](uint32_t seen) { return value(seen) == field; },
+        &inserted);
+    if (inserted) {
+      bytes.append(field);
+      offsets.push_back(bytes.size());
+      if (field.empty()) null_id = static_cast<int32_t>(id);
+    }
+    ids.push_back(id);
+  }
+};
+
+int64_t CountNewlines(std::string_view text) {
+  int64_t count = 0;
+  for (const char *p = text.data(), *end = p + text.size();
+       (p = static_cast<const char*>(std::memchr(p, '\n', end - p))) !=
+       nullptr;
+       ++p) {
+    ++count;
+  }
+  return count;
 }
 
-Value ParseField(const std::string& raw, DataType type) {
-  std::string_view f = Trim(raw);
-  if (f.empty()) return Value::Null();
-  switch (type) {
+struct InternedCsv {
+  std::vector<std::string> names;
+  std::vector<InternedColumn> columns;
+};
+
+// Tokenizes `text` and interns every data field of the first max_rows
+// rows. Records past max_rows are still tokenized, so ragged records and
+// unterminated quotes anywhere in the input are reported.
+Result<InternedCsv> TokenizeAndIntern(std::string_view text,
+                                      const CsvOptions& options) {
+  if (FASTOD_FAULT_POINT("csv.read")) {
+    return Status::IoError("injected fault: csv.read");
+  }
+  if (text.starts_with(kUtf8Bom)) text.remove_prefix(kUtf8Bom.size());
+
+  InternedCsv out;
+  const bool header = options.has_header;
+  int64_t records = 0;  // completed records
+  size_t field = 0;     // index of the next field in the current record
+  size_t num_cols = 0;  // fixed by the first record
+  int64_t rows = 0;     // data rows interned
+  Status ragged;
+  auto take_row = [&] {
+    return ragged.ok() && (options.max_rows < 0 || rows < options.max_rows);
+  };
+  auto on_field = [&](std::string_view f) {
+    if (records == 0) {
+      if (header) {
+        out.names.emplace_back(Trim(f));
+      } else {
+        out.columns.emplace_back();
+        if (take_row()) out.columns.back().Add(f);
+      }
+    } else if (field < num_cols && take_row()) {
+      out.columns[field].Add(f);
+    }
+    ++field;
+  };
+  auto on_record = [&] {
+    if (records == 0) {
+      num_cols = field;
+      if (header) out.columns.resize(num_cols);
+      // Size every id column for the rows the text can hold.
+      int64_t capacity = CountNewlines(text) + 1;
+      if (options.max_rows >= 0) {
+        capacity = std::min(capacity, options.max_rows);
+      }
+      for (InternedColumn& column : out.columns) column.ids.reserve(capacity);
+      if (!header && take_row()) ++rows;
+    } else if (field != num_cols) {
+      if (ragged.ok()) {
+        ragged = Status::InvalidArgument(
+            "ragged CSV: expected " + std::to_string(num_cols) +
+            " fields, found a record with " + std::to_string(field));
+      }
+    } else if (take_row()) {
+      ++rows;
+    }
+    ++records;
+    field = 0;
+  };
+  if (Status s = Tokenize(text, options.delimiter, on_field, on_record);
+      !s.ok()) {
+    return s;
+  }
+  if (records == 0) {
+    return Status::InvalidArgument("CSV input contains no records");
+  }
+  if (!ragged.ok()) return ragged;
+  if (!header) {
+    for (size_t c = 0; c < num_cols; ++c) {
+      out.names.push_back("col" + std::to_string(c));
+    }
+  }
+  for (InternedColumn& column : out.columns) column.index = FirstSeenIds();
+  return out;
+}
+
+// A column's distinct values parsed once into typed keys, indexed by
+// local id: `ints` for an int column, `doubles` for a double column, the
+// interned bytes themselves for a string column.
+struct TypedKeys {
+  DataType type = DataType::kString;
+  std::vector<int64_t> ints;
+  std::vector<double> doubles;
+};
+
+TypedKeys ParseKeys(const InternedColumn& column, bool infer_types) {
+  TypedKeys keys;
+  const uint32_t d = column.size();
+  const bool any_value = d > (column.null_id >= 0 ? 1u : 0u);
+  if (!infer_types || !any_value) return keys;
+  auto parse_all = [&](auto parse, auto& out) {
+    out.resize(d);
+    for (uint32_t id = 0; id < d; ++id) {
+      if (static_cast<int32_t>(id) == column.null_id) continue;
+      auto v = parse(column.value(id));
+      if (!v.has_value()) return false;
+      out[id] = *v;
+    }
+    return true;
+  };
+  if (parse_all([](std::string_view f) { return ParseInt(f); }, keys.ints)) {
+    keys.type = DataType::kInt;
+    return keys;
+  }
+  keys.ints = {};
+  if (parse_all(
+          [](std::string_view f) -> std::optional<double> {
+            std::optional<double> v = ParseDouble(f);
+            if (v.has_value() && std::isnan(*v)) return std::nullopt;
+            return v;
+          },
+          keys.doubles)) {
+    keys.type = DataType::kDouble;
+    return keys;
+  }
+  keys.doubles = {};
+  return keys;
+}
+
+EncodedColumn EncodeColumn(InternedColumn& column, const TypedKeys& keys) {
+  const int32_t d = static_cast<int32_t>(column.size());
+  switch (keys.type) {
     case DataType::kInt:
-      if (auto v = ParseInt(f)) return Value::Int(*v);
-      return Value::Null();
+      return AssignCodes(
+          std::move(column.ids), d, column.null_id,
+          [&](uint32_t a, uint32_t b) { return keys.ints[a] <=> keys.ints[b]; },
+          [&](ValueDictionary::Builder& dict, uint32_t id) {
+            dict.AddInt(keys.ints[id]);
+          });
     case DataType::kDouble:
-      if (auto v = ParseDouble(f)) return Value::Double(*v);
-      return Value::Null();
+      return AssignCodes(
+          std::move(column.ids), d, column.null_id,
+          [&](uint32_t a, uint32_t b) {
+            return keys.doubles[a] <=> keys.doubles[b];
+          },
+          [&](ValueDictionary::Builder& dict, uint32_t id) {
+            dict.AddDouble(keys.doubles[id]);
+          });
     default:
-      return Value::Str(std::string(f));
+      return AssignCodes(
+          std::move(column.ids), d, column.null_id,
+          [&](uint32_t a, uint32_t b) {
+            return column.value(a) <=> column.value(b);
+          },
+          [&](ValueDictionary::Builder& dict, uint32_t id) {
+            dict.AddString(column.value(id));
+          });
   }
+}
+
+Value ValueOf(const InternedColumn& column, const TypedKeys& keys,
+              uint32_t id) {
+  if (static_cast<int32_t>(id) == column.null_id) return Value::Null();
+  switch (keys.type) {
+    case DataType::kInt:
+      return Value::Int(keys.ints[id]);
+    case DataType::kDouble:
+      return Value::Double(keys.doubles[id]);
+    default:
+      return Value::Str(std::string(column.value(id)));
+  }
+}
+
+Result<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
+  std::string bytes;
+  char buffer[1 << 16];
+  while (in.read(buffer, sizeof(buffer)) || in.gcount() > 0) {
+    bytes.append(buffer, static_cast<size_t>(in.gcount()));
+  }
+  return bytes;
 }
 
 bool NeedsQuoting(const std::string& s, char delim) {
@@ -141,74 +361,70 @@ std::string QuoteField(const std::string& s) {
 
 }  // namespace
 
+Result<EncodedRelation> EncodeCsvString(std::string_view text,
+                                        const CsvOptions& options,
+                                        CsvIngestTimes* times) {
+  WallTimer timer;
+  Result<InternedCsv> interned = TokenizeAndIntern(text, options);
+  if (times != nullptr) times->parse_seconds = timer.ElapsedSeconds();
+  if (!interned.ok()) return interned.status();
+  timer.Restart();
+  std::vector<AttributeDef> defs;
+  std::vector<EncodedColumn> columns;
+  defs.reserve(interned->columns.size());
+  columns.reserve(interned->columns.size());
+  for (size_t c = 0; c < interned->columns.size(); ++c) {
+    InternedColumn& column = interned->columns[c];
+    TypedKeys keys = ParseKeys(column, options.infer_types);
+    defs.push_back({std::move(interned->names[c]), keys.type});
+    columns.push_back(EncodeColumn(column, keys));
+    column = InternedColumn();  // release the interned bytes early
+  }
+  Result<EncodedRelation> relation =
+      EncodedRelation::FromColumns(Schema(std::move(defs)), std::move(columns));
+  if (times != nullptr) times->encode_seconds = timer.ElapsedSeconds();
+  return relation;
+}
+
+Result<EncodedRelation> EncodeCsvFile(const std::string& path,
+                                      const CsvOptions& options,
+                                      CsvIngestTimes* times) {
+  WallTimer timer;
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  const double read_seconds = timer.ElapsedSeconds();
+  Result<EncodedRelation> relation = EncodeCsvString(*bytes, options, times);
+  if (times != nullptr) times->parse_seconds += read_seconds;
+  return relation;
+}
+
 Result<Table> ReadCsvString(const std::string& text,
                             const CsvOptions& options) {
-  if (FASTOD_FAULT_POINT("csv.read")) {
-    return Status::IoError("injected fault: csv.read");
-  }
-  auto tokenized = Tokenize(text, options.delimiter);
-  if (!tokenized.ok()) return tokenized.status();
-  const std::vector<std::vector<std::string>>& records = *tokenized;
-  if (records.empty()) {
-    return Status::InvalidArgument("CSV input contains no records");
-  }
-
-  size_t num_cols = records[0].size();
-  for (const auto& rec : records) {
-    if (rec.size() != num_cols) {
-      return Status::InvalidArgument(
-          "ragged CSV: expected " + std::to_string(num_cols) +
-          " fields, found a record with " + std::to_string(rec.size()));
+  Result<InternedCsv> interned = TokenizeAndIntern(text, options);
+  if (!interned.ok()) return interned.status();
+  std::vector<AttributeDef> defs;
+  std::vector<std::vector<Value>> columns;
+  for (size_t c = 0; c < interned->columns.size(); ++c) {
+    const InternedColumn& column = interned->columns[c];
+    TypedKeys keys = ParseKeys(column, options.infer_types);
+    std::vector<Value> distinct;
+    distinct.reserve(column.size());
+    for (uint32_t id = 0; id < column.size(); ++id) {
+      distinct.push_back(ValueOf(column, keys, id));
     }
+    std::vector<Value> cells;
+    cells.reserve(column.ids.size());
+    for (uint32_t id : column.ids) cells.push_back(distinct[id]);
+    defs.push_back({std::move(interned->names[c]), keys.type});
+    columns.push_back(std::move(cells));
   }
-
-  std::vector<std::string> names;
-  size_t first_data_row = 0;
-  if (options.has_header) {
-    for (const std::string& h : records[0]) {
-      names.emplace_back(Trim(h));
-    }
-    first_data_row = 1;
-  } else {
-    for (size_t c = 0; c < num_cols; ++c) {
-      names.push_back("col" + std::to_string(c));
-    }
-  }
-
-  std::vector<AttributeDef> defs(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) {
-    defs[c].name = names[c];
-    defs[c].type = options.infer_types
-                       ? InferColumnType(records, first_data_row, c,
-                                         options.max_rows)
-                       : DataType::kString;
-  }
-
-  std::vector<DataType> col_types(num_cols);
-  for (size_t c = 0; c < num_cols; ++c) col_types[c] = defs[c].type;
-
-  TableBuilder builder(Schema{std::move(defs)});
-  int64_t rows_added = 0;
-  for (size_t r = first_data_row; r < records.size(); ++r) {
-    if (options.max_rows >= 0 && rows_added >= options.max_rows) break;
-    std::vector<Value> row;
-    row.reserve(num_cols);
-    for (size_t c = 0; c < num_cols; ++c) {
-      row.push_back(ParseField(records[r][c], col_types[c]));
-    }
-    Status s = builder.AddRow(std::move(row));
-    if (!s.ok()) return s;
-    ++rows_added;
-  }
-  return builder.Build();
+  return Table(Schema(std::move(defs)), std::move(columns));
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open '" + path + "' for reading");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ReadCsvString(buf.str(), options);
+  Result<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.ok()) return bytes.status();
+  return ReadCsvString(*bytes, options);
 }
 
 std::string WriteCsvString(const Table& table, char delimiter) {

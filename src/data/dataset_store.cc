@@ -3,10 +3,8 @@
 #include "common/fault.h"
 
 #include <algorithm>
-#include <numeric>
 #include <utility>
 
-#include "common/timer.h"
 
 namespace fastod {
 
@@ -32,41 +30,35 @@ int64_t DatasetBytes(const EncodedRelation& relation,
 }  // namespace
 
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Build(
-    std::string id, Table table, std::string source) {
-  WallTimer timer;
-  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
-  if (!encoded.ok()) return encoded.status();
+    std::string id, EncodedRelation relation, std::string source) {
   // make_shared needs a public constructor; the explicit new keeps it
   // private to this factory.
   std::shared_ptr<LoadedDataset> dataset(new LoadedDataset());
   dataset->id_ = std::move(id);
   dataset->source_ = std::move(source);
-  dataset->relation_ = *std::move(encoded);
-  // Version 1 has no append block: the whole relation is "base". The raw
-  // table dies here — its values live on interned in the dictionaries.
+  dataset->relation_ = std::move(relation);
+  // Version 1 has no append block: the whole relation is "base".
   dataset->base_rows_ = dataset->relation_.NumRows();
-
-  const EncodedRelation& relation = dataset->relation_;
-  dataset->singletons_.reserve(relation.NumAttributes());
-  for (int a = 0; a < relation.NumAttributes(); ++a) {
-    dataset->singletons_.push_back(
-        StrippedPartition::ForAttribute(relation.codes(a)));
-  }
-  dataset->approx_bytes_ = DatasetBytes(relation, dataset->singletons_);
-  dataset->load_seconds_ = timer.ElapsedSeconds();
+  dataset->BuildSingletons();
   return std::shared_ptr<const LoadedDataset>(std::move(dataset));
 }
 
+Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Build(
+    std::string id, Table table, std::string source) {
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
+  if (!encoded.ok()) return encoded.status();
+  return Build(std::move(id), *std::move(encoded), std::move(source));
+}
+
 Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
-    const std::shared_ptr<const LoadedDataset>& base, Table delta) {
+    const std::shared_ptr<const LoadedDataset>& base, EncodedRelation delta) {
   FASTOD_CHECK(base != nullptr);
-  if (delta.NumColumns() != base->NumAttributes()) {
+  if (delta.NumAttributes() != base->NumAttributes()) {
     return Status::InvalidArgument(
-        "append block has " + std::to_string(delta.NumColumns()) +
+        "append block has " + std::to_string(delta.NumAttributes()) +
         " columns; dataset '" + base->id() + "' has " +
         std::to_string(base->NumAttributes()));
   }
-  WallTimer timer;
   const int64_t n = base->NumRows();
   const int64_t d = delta.NumRows();
   const int cols = base->NumAttributes();
@@ -79,66 +71,48 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
 
   // The base schema wins (delta column names, if the block came with a
   // header, are positional).
-  std::vector<CodeColumn> merged_codes;
-  std::vector<ValueDictionary> merged_dicts;
-  merged_codes.reserve(cols);
-  merged_dicts.reserve(cols);
+  std::vector<EncodedColumn> merged_columns;
+  merged_columns.reserve(cols);
   for (int c = 0; c < cols; ++c) {
-    const std::vector<Value>& delta_col = delta.column(c);
     const CodeColumn& old_codes = base->relation_.codes(c);
     const ValueDictionary& old_dict = base->relation_.dictionary(c);
+    const ValueDictionary& delta_dict = delta.dictionary(c);
     const int32_t old_distinct = old_dict.size();
+    const int32_t delta_distinct = delta_dict.size();
 
-    // Delta rows in value order, stable tiebreak like FromTable.
-    std::vector<int32_t> order(d);
-    std::iota(order.begin(), order.end(), 0);
-    std::sort(order.begin(), order.end(),
-              [&delta_col](int32_t x, int32_t y) {
-                int cmp = Value::Compare(delta_col[x], delta_col[y]);
-                if (cmp != 0) return cmp < 0;
-                return x < y;
-              });
-
-    // Merge the parent's dictionary with the delta's sorted values:
-    // every old code shifts up by the count of unseen delta values
-    // ordered before it, each delta row reads its merged code straight
-    // off the walk, and the merged dictionary is built in the same pass
-    // (parent representatives win ties, exactly like FromTable's
-    // smallest-row-id interning on the concatenated column). The result
-    // is dense and order-preserving — bit-for-bit what FromTable
-    // produces on the concatenated table.
+    // Merge the two sorted dictionaries in one linear walk: every old
+    // code shifts up by the count of unseen delta values ordered before
+    // it, every delta code maps to its merged code, and the merged
+    // dictionary is built in the same pass (parent representatives win
+    // ties, exactly like FromTable's smallest-row-id interning on the
+    // concatenated column). The result is dense and order-preserving —
+    // bit-for-bit what FromTable produces on the concatenated table.
     ValueDictionary::Builder dict_builder;
     std::vector<int32_t> shift(old_distinct, 0);
-    std::vector<uint32_t> delta_code(d, 0);
+    std::vector<uint32_t> delta_code(delta_distinct, 0);
     int32_t next_code = 0;
     int32_t oi = 0;
-    int64_t di = 0;
-    while (oi < old_distinct || di < d) {
+    int32_t di = 0;
+    while (oi < old_distinct || di < delta_distinct) {
       int cmp;
       if (oi >= old_distinct) {
         cmp = 1;
-      } else if (di >= d) {
+      } else if (di >= delta_distinct) {
         cmp = -1;
       } else {
-        cmp = old_dict.Compare(oi, delta_col[order[di]]);
+        cmp = old_dict.Compare(oi, delta_dict, di);
       }
       if (cmp <= 0) {
-        dict_builder.Add(old_dict.At(oi));
+        dict_builder.AddFrom(old_dict, oi);
         shift[oi] = next_code - oi;
-        if (cmp == 0) {
-          while (di < d && old_dict.Compare(oi, delta_col[order[di]]) == 0) {
-            delta_code[order[di]] = static_cast<uint32_t>(next_code);
-            ++di;
-          }
+        while (cmp == 0 && di < delta_distinct &&
+               old_dict.Compare(oi, delta_dict, di) == 0) {
+          delta_code[di++] = static_cast<uint32_t>(next_code);
         }
         ++oi;
       } else {
-        const Value& value = delta_col[order[di]];
-        dict_builder.Add(value);
-        while (di < d && Value::Compare(value, delta_col[order[di]]) == 0) {
-          delta_code[order[di]] = static_cast<uint32_t>(next_code);
-          ++di;
-        }
+        dict_builder.AddFrom(delta_dict, di);
+        delta_code[di++] = static_cast<uint32_t>(next_code);
       }
       ++next_code;
     }
@@ -148,24 +122,33 @@ Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
       int32_t old_code = old_codes[i];
       merged[i] = static_cast<uint32_t>(old_code + shift[old_code]);
     }
-    for (int64_t j = 0; j < d; ++j) merged[n + j] = delta_code[j];
-    merged_codes.emplace_back(std::move(merged), next_code);
-    merged_dicts.push_back(dict_builder.Build());
+    const CodeColumn& delta_codes = delta.codes(c);
+    for (int64_t j = 0; j < d; ++j) merged[n + j] = delta_code[delta_codes[j]];
+    merged_columns.push_back(
+        {CodeColumn(std::move(merged), next_code), dict_builder.Build()});
   }
 
-  grown->relation_ = EncodedRelation::FromColumns(
-      base->relation_.schema(), std::move(merged_codes),
-      std::move(merged_dicts));
-
-  const EncodedRelation& relation = grown->relation_;
-  grown->singletons_.reserve(cols);
-  for (int a = 0; a < cols; ++a) {
-    grown->singletons_.push_back(
-        StrippedPartition::ForAttribute(relation.codes(a)));
-  }
-  grown->approx_bytes_ = DatasetBytes(relation, grown->singletons_);
-  grown->load_seconds_ = timer.ElapsedSeconds();
+  Result<EncodedRelation> relation = EncodedRelation::FromColumns(
+      base->relation_.schema(), std::move(merged_columns));
+  if (!relation.ok()) return relation.status();
+  grown->relation_ = *std::move(relation);
+  grown->BuildSingletons();
   return std::shared_ptr<const LoadedDataset>(std::move(grown));
+}
+
+Result<std::shared_ptr<const LoadedDataset>> LoadedDataset::Append(
+    const std::shared_ptr<const LoadedDataset>& base, Table delta) {
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(delta);
+  if (!encoded.ok()) return encoded.status();
+  return Append(base, *std::move(encoded));
+}
+
+void LoadedDataset::BuildSingletons() {
+  singletons_.reserve(relation_.NumAttributes());
+  for (int a = 0; a < relation_.NumAttributes(); ++a) {
+    singletons_.push_back(StrippedPartition::ForAttribute(relation_.codes(a)));
+  }
+  approx_bytes_ = DatasetBytes(relation_, singletons_);
 }
 
 DatasetStore::DatasetStore(int64_t budget_bytes)
@@ -178,8 +161,15 @@ DatasetStore& DatasetStore::Global() {
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutTable(
     const std::string& id, Table table, std::string source) {
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(table);
+  if (!encoded.ok()) return encoded.status();
+  return Put(id, *std::move(encoded), std::move(source));
+}
+
+Result<std::shared_ptr<const LoadedDataset>> DatasetStore::Put(
+    const std::string& id, EncodedRelation relation, std::string source) {
   Result<std::shared_ptr<const LoadedDataset>> dataset =
-      LoadedDataset::Build(id, std::move(table), std::move(source));
+      LoadedDataset::Build(id, std::move(relation), std::move(source));
   if (!dataset.ok()) return dataset.status();
   return Insert(*std::move(dataset));
 }
@@ -187,17 +177,16 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutTable(
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutCsvFile(
     const std::string& id, const std::string& path,
     const CsvOptions& options) {
-  Result<Table> table = ReadCsvFile(path, options);
-  if (!table.ok()) return table.status();
-  return PutTable(id, *std::move(table), "csv:" + path);
+  Result<EncodedRelation> encoded = EncodeCsvFile(path, options);
+  if (!encoded.ok()) return encoded.status();
+  return Put(id, *std::move(encoded), "csv:" + path);
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::PutCsvString(
-    const std::string& id, const std::string& text,
-    const CsvOptions& options) {
-  Result<Table> table = ReadCsvString(text, options);
-  if (!table.ok()) return table.status();
-  return PutTable(id, *std::move(table), "inline");
+    const std::string& id, std::string_view text, const CsvOptions& options) {
+  Result<EncodedRelation> encoded = EncodeCsvString(text, options);
+  if (!encoded.ok()) return encoded.status();
+  return Put(id, *std::move(encoded), "inline");
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::Insert(
@@ -258,6 +247,13 @@ void PruneHistory(
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendRows(
     const std::string& id, Table delta) {
+  Result<EncodedRelation> encoded = EncodedRelation::FromTable(delta);
+  if (!encoded.ok()) return encoded.status();
+  return AppendRows(id, *std::move(encoded));
+}
+
+Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendRows(
+    const std::string& id, EncodedRelation delta) {
   if (FASTOD_FAULT_POINT("dataset_store.append")) {
     return Status::ResourceExhausted("injected fault: dataset_store.append");
   }
@@ -322,19 +318,18 @@ Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendRows(
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendCsvString(
-    const std::string& id, const std::string& text,
-    const CsvOptions& options) {
-  Result<Table> table = ReadCsvString(text, options);
-  if (!table.ok()) return table.status();
-  return AppendRows(id, *std::move(table));
+    const std::string& id, std::string_view text, const CsvOptions& options) {
+  Result<EncodedRelation> delta = EncodeCsvString(text, options);
+  if (!delta.ok()) return delta.status();
+  return AppendRows(id, *std::move(delta));
 }
 
 Result<std::shared_ptr<const LoadedDataset>> DatasetStore::AppendCsvFile(
     const std::string& id, const std::string& path,
     const CsvOptions& options) {
-  Result<Table> table = ReadCsvFile(path, options);
-  if (!table.ok()) return table.status();
-  return AppendRows(id, *std::move(table));
+  Result<EncodedRelation> delta = EncodeCsvFile(path, options);
+  if (!delta.ok()) return delta.status();
+  return AppendRows(id, *std::move(delta));
 }
 
 void DatasetStore::EvictFor(int64_t needed) {

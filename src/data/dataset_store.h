@@ -34,6 +34,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -46,8 +47,8 @@ namespace fastod {
 
 /// One fully preprocessed relation: dictionary-interned columnar encoding
 /// plus the level-1 partitions. Construction does all the work; the
-/// object never changes. The raw Table is consumed, not kept — values
-/// survive only interned in the per-column dictionaries.
+/// object never changes. No raw Table is kept — values survive only
+/// interned in the per-column dictionaries.
 ///
 /// Datasets are *versioned*: Build() produces version 1, and Append()
 /// derives version k+1 from version k plus a block of delta rows. Each
@@ -59,19 +60,27 @@ namespace fastod {
 /// grown relation.
 class LoadedDataset {
  public:
-  /// Encodes `table` and prebuilds Π*_{A} for every attribute A. Fails on
-  /// relations the engines cannot represent (> 64 attributes). `source`
-  /// is a human-readable provenance note ("csv:/data/flight.csv", ...).
+  /// Wraps an encoded relation (CSV ingest hands one over directly) and
+  /// prebuilds Π*_{A} for every attribute A. `source` is a human-readable
+  /// provenance note ("csv:/data/flight.csv", ...).
+  static Result<std::shared_ptr<const LoadedDataset>> Build(
+      std::string id, EncodedRelation relation, std::string source = "table");
+  /// Same, encoding `table` first (tests and generators). Fails on
+  /// relations the engines cannot represent (> 64 attributes).
   static Result<std::shared_ptr<const LoadedDataset>> Build(
       std::string id, Table table, std::string source = "table");
 
   /// Version base->version()+1: `base`'s rows followed by `delta`'s rows
-  /// (column count must match; `base`'s schema wins). Delta rows are
-  /// merge-encoded against the parent's value dictionaries — O(rows)
-  /// integer work plus O(delta log delta) value comparisons — and the
-  /// resulting codes and merged dictionaries are bit-for-bit what
-  /// FromTable would produce on the concatenated table. An empty delta
-  /// yields a new (identical but renumbered) version.
+  /// (column count must match; `base`'s schema wins). The delta arrives
+  /// encoded on its own — its types inferred on its own rows, so they may
+  /// differ from the base's — and its dictionaries are merged with the
+  /// parent's in one linear walk: O(rows) integer work plus O(distinct)
+  /// value comparisons. The resulting codes and merged dictionaries are
+  /// bit-for-bit what FromTable would produce on the concatenated table.
+  /// An empty delta yields a new (identical but renumbered) version.
+  static Result<std::shared_ptr<const LoadedDataset>> Append(
+      const std::shared_ptr<const LoadedDataset>& base, EncodedRelation delta);
+  /// Same, encoding `delta` first.
   static Result<std::shared_ptr<const LoadedDataset>> Append(
       const std::shared_ptr<const LoadedDataset>& base, Table delta);
 
@@ -104,11 +113,10 @@ class LoadedDataset {
   /// unit the store's memory budget is accounted in.
   int64_t ApproxBytes() const { return approx_bytes_; }
 
-  /// Wall-clock of the one-time preprocessing (parse excluded).
-  double load_seconds() const { return load_seconds_; }
-
  private:
   LoadedDataset() = default;
+  /// Builds singletons_ from relation_ and sets approx_bytes_.
+  void BuildSingletons();
 
   std::string id_;
   std::string source_;
@@ -117,7 +125,6 @@ class LoadedDataset {
   int64_t version_ = 1;
   int64_t base_rows_ = 0;
   int64_t approx_bytes_ = 0;
-  double load_seconds_ = 0.0;
 };
 
 /// One resident (or session-retained) version of a dataset.
@@ -174,13 +181,17 @@ class DatasetStore {
   /// under `id`. Duplicate ids are refused (FailedPrecondition) — ids
   /// name immutable data, so silently replacing one would redirect
   /// future sessions mid-stream. Returns the inserted dataset, pinned.
+  /// The CSV forms encode in one pass (data/csv.h, EncodeCsvString).
+  Result<std::shared_ptr<const LoadedDataset>> Put(
+      const std::string& id, EncodedRelation relation,
+      std::string source = "table");
   Result<std::shared_ptr<const LoadedDataset>> PutTable(
       const std::string& id, Table table, std::string source = "table");
   Result<std::shared_ptr<const LoadedDataset>> PutCsvFile(
       const std::string& id, const std::string& path,
       const CsvOptions& options = CsvOptions());
   Result<std::shared_ptr<const LoadedDataset>> PutCsvString(
-      const std::string& id, const std::string& text,
+      const std::string& id, std::string_view text,
       const CsvOptions& options = CsvOptions());
 
   // ---- Appends ------------------------------------------------------
@@ -193,9 +204,11 @@ class DatasetStore {
   /// FailedPrecondition when another append raced this one, and
   /// ResourceExhausted when the grown dataset cannot fit the budget.
   Result<std::shared_ptr<const LoadedDataset>> AppendRows(
+      const std::string& id, EncodedRelation delta);
+  Result<std::shared_ptr<const LoadedDataset>> AppendRows(
       const std::string& id, Table delta);
   Result<std::shared_ptr<const LoadedDataset>> AppendCsvString(
-      const std::string& id, const std::string& text,
+      const std::string& id, std::string_view text,
       const CsvOptions& options = CsvOptions());
   Result<std::shared_ptr<const LoadedDataset>> AppendCsvFile(
       const std::string& id, const std::string& path,

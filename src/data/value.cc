@@ -57,9 +57,6 @@ double Value::NumericValue() const {
   return std::get<double>(rep_);
 }
 
-namespace {
-
-// Rank of a type in the cross-type total order: null < numeric < string.
 int TypeRank(DataType t) {
   switch (t) {
     case DataType::kNull:
@@ -72,8 +69,6 @@ int TypeRank(DataType t) {
   }
   return 3;
 }
-
-}  // namespace
 
 int Value::Compare(const Value& a, const Value& b) {
   int ra = TypeRank(a.type());

@@ -23,6 +23,10 @@ enum class DataType {
 /// Returns a short lowercase name ("int", "double", ...).
 const char* DataTypeName(DataType type);
 
+/// Rank of a type in the cross-type total order below: null (0) <
+/// numeric (1, ints and doubles alike) < string (2).
+int TypeRank(DataType type);
+
 /// A single typed cell. Small, copyable, with a total order:
 ///   null < all non-null; ints and doubles compare numerically with each
 ///   other; any number < any string. Within strings: lexicographic byte

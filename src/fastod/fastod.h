@@ -6,10 +6,10 @@
 //
 //   #include "fastod/fastod.h"
 //
-//   fastod::Result<fastod::Table> table = fastod::ReadCsvFile("data.csv");
+//   auto data = fastod::EncodeCsvFile("data.csv");  // CSV -> codes, one pass
 //   auto algo = fastod::AlgorithmRegistry::Default().Create("fastod");
 //   (*algo)->SetOption("threads", "4");     // typed, introspectable
-//   (*algo)->LoadData(*table);
+//   (*algo)->LoadData(*std::move(data));
 //   (*algo)->Execute();
 //   std::cout << (*algo)->ResultText();
 //

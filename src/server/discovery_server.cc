@@ -837,9 +837,8 @@ void DiscoveryServer::HandleCreateSession(const HttpRequest& request,
       streams_[*id] = std::move(state);
     }
     if (csv != nullptr) {
-      Result<Table> table = ReadCsvString(csv->string_value(), csv_options);
-      if (!table.ok()) return table.status();
-      if (Status s = service_.LoadTable(*id, std::move(table).value());
+      if (Status s = service_.LoadCsvString(*id, csv->string_value(),
+                                            csv_options);
           !s.ok()) {
         return s;
       }

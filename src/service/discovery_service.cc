@@ -79,6 +79,13 @@ Status DiscoveryService::LoadCsv(SessionId id, const std::string& path,
   return session->LoadCsv(path, options);
 }
 
+Status DiscoveryService::LoadCsvString(SessionId id, std::string_view text,
+                                       const CsvOptions& options) {
+  auto session = FindMutable(id);
+  if (session == nullptr) return StaleHandle(id);
+  return session->LoadCsvString(text, options);
+}
+
 Status DiscoveryService::LoadTable(SessionId id, Table table) {
   auto session = FindMutable(id);
   if (session == nullptr) return StaleHandle(id);

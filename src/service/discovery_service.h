@@ -31,6 +31,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/od_sink.h"
@@ -83,6 +84,11 @@ class DiscoveryService {
                    const std::string& value);
   Status LoadCsv(SessionId id, const std::string& path,
                  const CsvOptions& options = CsvOptions());
+  /// Encodes in-memory CSV text into the session (the server's inline
+  /// "csv" body): one pass, CSV bytes to codes, with the csv.parse and
+  /// encode spans in the session's trace. Errors surface synchronously.
+  Status LoadCsvString(SessionId id, std::string_view text,
+                       const CsvOptions& options = CsvOptions());
   Status LoadTable(SessionId id, Table table);
   /// Binds the dataset registered in store() under `dataset_id` — by
   /// reference, so N sessions on one dataset share a single parse,

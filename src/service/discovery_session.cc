@@ -43,9 +43,42 @@ Status DiscoverySession::SetOption(const std::string& name,
 
 Status DiscoverySession::LoadCsv(const std::string& path,
                                  const CsvOptions& options) {
-  Result<Table> table = ReadCsvFile(path, options);
-  if (!table.ok()) return table.status();
-  return LoadTable(std::move(table).value());
+  CsvIngestTimes times;
+  const double start = trace_.Now();
+  Result<EncodedRelation> relation = EncodeCsvFile(path, options, &times);
+  RecordIngestSpans(start, times, relation.ok());
+  return BindEncoded(std::move(relation));
+}
+
+Status DiscoverySession::LoadCsvString(std::string_view text,
+                                       const CsvOptions& options) {
+  CsvIngestTimes times;
+  const double start = trace_.Now();
+  Result<EncodedRelation> relation = EncodeCsvString(text, options, &times);
+  RecordIngestSpans(start, times, relation.ok());
+  return BindEncoded(std::move(relation));
+}
+
+void DiscoverySession::RecordIngestSpans(double start,
+                                         const CsvIngestTimes& times,
+                                         bool encoded) {
+  if (!obs::Enabled()) return;
+  trace_.RecordSpan("csv.parse", start, times.parse_seconds);
+  if (encoded) {
+    trace_.RecordSpan("encode", start + times.parse_seconds,
+                      times.encode_seconds);
+  }
+}
+
+Status DiscoverySession::BindEncoded(Result<EncodedRelation> relation) {
+  if (!relation.ok()) return relation.status();
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (state_ != SessionState::kCreated) {
+    return Status::FailedPrecondition(
+        "session is " + std::string(SessionStateName(state_)) +
+        "; data may only be bound before submission");
+  }
+  return algorithm_->LoadData(*std::move(relation));
 }
 
 Status DiscoverySession::SetDeferredCsv(std::string path,
@@ -65,13 +98,7 @@ Status DiscoverySession::SetDeferredCsv(std::string path,
 }
 
 Status DiscoverySession::LoadTable(Table table) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (state_ != SessionState::kCreated) {
-    return Status::FailedPrecondition(
-        "session is " + std::string(SessionStateName(state_)) +
-        "; data may only be bound before submission");
-  }
-  return algorithm_->LoadData(std::move(table));
+  return BindEncoded(EncodedRelation::FromTable(table));
 }
 
 Status DiscoverySession::LoadDataset(
@@ -138,19 +165,18 @@ void DiscoverySession::Run() {
   Status executed;
   try {
     if (load_csv) {
-      double start = trace_.Now();
-      Result<Table> table = ReadCsvFile(path, csv_options);
-      if (observe) {
-        trace_.RecordSpan("csv.parse", start, trace_.Now() - start);
-      }
-      if (!table.ok()) {
-        Finish(SessionState::kFailed, table.status());
+      CsvIngestTimes times;
+      const double start = trace_.Now();
+      Result<EncodedRelation> relation =
+          EncodeCsvFile(path, csv_options, &times);
+      RecordIngestSpans(start, times, relation.ok());
+      if (!relation.ok()) {
+        Finish(SessionState::kFailed, relation.status());
         return;
       }
-      start = trace_.Now();
-      Status s = algorithm_->LoadData(std::move(table).value());
-      if (observe) trace_.RecordSpan("encode", start, trace_.Now() - start);
-      if (!s.ok()) {
+      // The session is kRunning, so bind directly rather than through
+      // BindEncoded's kCreated check.
+      if (Status s = algorithm_->LoadData(*std::move(relation)); !s.ok()) {
         Finish(SessionState::kFailed, s);
         return;
       }

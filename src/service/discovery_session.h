@@ -27,6 +27,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "api/algorithm.h"
@@ -66,8 +67,12 @@ class DiscoverySession {
 
   // ---- Configuration (before Submit/Run only) -----------------------
   Status SetOption(const std::string& name, const std::string& value);
-  /// Reads and binds a CSV file now; errors surface synchronously.
+  /// Reads, encodes (data/csv.h, EncodeCsvFile) and binds a CSV file
+  /// now; errors surface synchronously. Like every CSV load here, it
+  /// records the csv.parse and encode spans in the session's trace.
   Status LoadCsv(const std::string& path, const CsvOptions& options);
+  /// Same, for CSV text held in memory (an inline request body).
+  Status LoadCsvString(std::string_view text, const CsvOptions& options);
   /// Defers the CSV read into Run() (a worker thread), so a batch of
   /// sessions parallelizes parsing and encoding too. Read errors then
   /// surface through state()/status() as kFailed.
@@ -122,6 +127,13 @@ class DiscoverySession {
   std::string trace_json() const { return trace_.ToJson(); }
 
  private:
+  /// Records the csv.parse and encode spans of an EncodeCsv call that
+  /// began at trace time `start`; the encode span only if it succeeded.
+  void RecordIngestSpans(double start, const CsvIngestTimes& times,
+                         bool encoded);
+  /// Binds an encoded relation, or returns its encoding error; fails
+  /// once the session has left kCreated.
+  Status BindEncoded(Result<EncodedRelation> relation);
   void Finish(SessionState terminal, Status status);
   /// Publishes the terminal transition to the global metrics registry
   /// and copies the engine's counters into the trace.

@@ -411,6 +411,8 @@ TEST(CApiTest, TraceJsonSurfacesSpansAndEngineCounters) {
   ASSERT_NE(trace, nullptr);
   std::string json(trace);
   EXPECT_NE(json.find("\"spans\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"csv.parse\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"encode\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"execute\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"nodes_visited\""), std::string::npos) << json;
   // The trace buffer is independent of the result buffer: fetching one

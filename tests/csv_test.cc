@@ -114,6 +114,50 @@ TEST(CsvReadTest, CustomDelimiter) {
   EXPECT_EQ(t->at(0, 1).AsInt(), 2);
 }
 
+TEST(CsvReadTest, NanFieldMakesColumnString) {
+  // NaN compares equal to every number, which would break the total
+  // order codes are assigned by; a NaN field is therefore not a double.
+  auto t = ReadCsvString("a,b\n1,x\nnan,y\n2,z\n");
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->schema().type(0), DataType::kString);
+  EXPECT_EQ(t->at(1, 0).AsString(), "nan");
+  auto rel = EncodeCsvString("a,b\n1,x\nnan,y\n2,z\n");
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(rel->schema().type(0), DataType::kString);
+  EXPECT_EQ(rel->NumDistinct(0), 3);
+  for (const char* spelling : {"NaN", "-nan", "nan(1)"}) {
+    auto other = ReadCsvString(std::string("a\n1.5\n") + spelling + "\n");
+    ASSERT_TRUE(other.ok());
+    EXPECT_EQ(other->schema().type(0), DataType::kString) << spelling;
+  }
+  // Infinities still order totally and stay doubles.
+  auto inf = ReadCsvString("a\n1.5\ninf\n-inf\n");
+  ASSERT_TRUE(inf.ok());
+  EXPECT_EQ(inf->schema().type(0), DataType::kDouble);
+}
+
+TEST(CsvReadTest, LeadingByteOrderMarkIsSkipped) {
+  const std::string text = "\xef\xbb\xbf" "a,b\n1,2\n3,4\n";
+  auto t = ReadCsvString(text);
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(t->schema().name(0), "a");
+  EXPECT_TRUE(t->schema().IndexOf("a").ok());
+  auto rel = EncodeCsvString(text);
+  ASSERT_TRUE(rel.ok());
+  EXPECT_EQ(rel->schema().name(0), "a");
+  // Without a header the mark is not part of the first value either.
+  CsvOptions opt;
+  opt.has_header = false;
+  auto data = ReadCsvString("\xef\xbb\xbf" "7,8\n", opt);
+  ASSERT_TRUE(data.ok());
+  EXPECT_EQ(data->schema().type(0), DataType::kInt);
+  EXPECT_EQ(data->at(0, 0).AsInt(), 7);
+  // Only a leading mark is skipped.
+  auto later = ReadCsvString("a\n\xef\xbb\xbf" "x\n");
+  ASSERT_TRUE(later.ok());
+  EXPECT_EQ(later->at(0, 0).AsString(), "\xef\xbb\xbf" "x");
+}
+
 TEST(CsvWriteTest, RoundTripPreservesContent) {
   auto original = ReadCsvString("id,name\n1,\"a,b\"\n2,plain\n");
   ASSERT_TRUE(original.ok());

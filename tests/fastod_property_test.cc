@@ -10,6 +10,7 @@
 #include "algo/brute_force_discovery.h"
 #include "algo/fastod.h"
 #include "algo/tane.h"
+#include "data/csv.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
 #include "validate/brute_force.h"
@@ -172,6 +173,22 @@ TEST_P(FastodDerivedOracleTest, OutputEqualsBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FastodDerivedOracleTest,
                          ::testing::Values(101, 202, 303, 404, 505, 606,
                                            707, 808));
+
+// NaN in CSV input: the column falls back to string, so the codes keep a
+// total order and FASTOD still equals the oracle. Before the fix NaN tied
+// with every number and `a` (holding both 1 and 2) came out constant.
+TEST(FastodCsvOracleTest, NanFieldsMatchBruteForce) {
+  for (const char* csv : {"a,b\n1,x\nnan,y\n2,z\n",
+                          "a,b,c\n1,1,3\nnan,1,2\n2,2,1\n3,nan,1\n"}) {
+    Result<EncodedRelation> rel = EncodeCsvString(csv);
+    ASSERT_TRUE(rel.ok());
+    FastodResult got = Fastod().Discover(*rel);
+    ExpectSameOds(got, BruteForceDiscoverOds(*rel));
+    for (const ConstancyOd& od : got.constancy_ods) {
+      EXPECT_FALSE(od.context.IsEmpty() && od.attribute == 0) << csv;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace fastod

@@ -1336,6 +1336,18 @@ TEST(DiscoveryServerTest, TraceEndpointReturnsSpansAndEngine) {
   ASSERT_TRUE(engine != nullptr && engine->is_object()) << trace.body;
   EXPECT_GT(engine->Find("nodes_visited")->int_value(), 0);
   EXPECT_NE(trace.body.find("\"execute\""), std::string::npos);
+  // An inline "csv" body is parsed inside the session, so its two ingest
+  // phases appear as spans, in order, ahead of the run.
+  const JsonValue* spans = parsed->Find("spans");
+  ASSERT_TRUE(spans != nullptr && spans->is_array()) << trace.body;
+  std::vector<std::string> names;
+  for (const JsonValue& span : spans->array_items()) {
+    names.push_back(span.Find("name")->string_value());
+  }
+  ASSERT_GE(names.size(), 3u) << trace.body;
+  EXPECT_EQ(names[0], "csv.parse") << trace.body;
+  EXPECT_EQ(names[1], "encode") << trace.body;
+  EXPECT_EQ(names[2], "execute") << trace.body;
 
   ClientResponse missing =
       Fetch(fixture.port(), "GET", "/v1/sessions/999999/trace");

@@ -158,6 +158,28 @@ TEST(SessionTrace, DeferredCsvSessionRecordsPhaseSpans) {
   EXPECT_NE(trace.find("\"level[1]\""), std::string::npos) << trace;
 }
 
+TEST(SessionTrace, InlineCsvSessionRecordsPhaseSpans) {
+  EnabledGuard guard;
+  obs::SetEnabled(true);
+  DiscoveryService service(1);
+  Result<SessionId> id = service.Create("fastod");
+  ASSERT_TRUE(id.ok());
+  ASSERT_TRUE(service.LoadCsvString(*id, "a,b\n1,2\n2,1\n").ok());
+  ASSERT_TRUE(service.Submit(*id).ok());
+  ASSERT_EQ(*service.Wait(*id), SessionState::kDone);
+  std::string trace = *service.TraceJson(*id);
+  EXPECT_NE(trace.find("\"csv.parse\""), std::string::npos) << trace;
+  EXPECT_NE(trace.find("\"encode\""), std::string::npos) << trace;
+  EXPECT_LT(trace.find("\"encode\""), trace.find("\"execute\"")) << trace;
+
+  // A malformed body fails synchronously and binds nothing.
+  Result<SessionId> bad = service.Create("fastod");
+  ASSERT_TRUE(bad.ok());
+  Status s = service.LoadCsvString(*bad, "a,b\n1\n");
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.Submit(*bad).code(), StatusCode::kFailedPrecondition);
+}
+
 TEST(SessionTrace, DisabledMetricsLeaveTraceEmpty) {
   EnabledGuard guard;
   obs::SetEnabled(false);
