@@ -279,7 +279,8 @@ bool HasFlag(int argc, char** argv, const char* flag) {
 
 int main(int argc, char** argv) {
   const int scale = ParseScale(argc, argv);
-  BenchJson json("bench_api_overhead", argc, argv);
+  BenchJson json("bench_api_overhead", argc, argv,
+                 {"--overload", "--metrics-overhead"});
   if (HasFlag(argc, argv, "--overload")) {
     PrintHeader("Admission-control rejection latency (service at "
                 "capacity; submissions at 4x the limit)",

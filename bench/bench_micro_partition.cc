@@ -397,7 +397,8 @@ class JsonTeeReporter : public benchmark::ConsoleReporter {
 // BENCHMARK_MAIN() expanded so --json can ride along: google-benchmark
 // rejects flags it doesn't know, so they are stripped before Initialize.
 int main(int argc, char** argv) {
-  fastod::bench::BenchJson json("bench_micro_partition", argc, argv);
+  fastod::bench::BenchJson json("bench_micro_partition", argc, argv,
+                                {"--benchmark_*"});
   std::vector<char*> kept;
   for (int i = 0; i < argc; ++i) {
     if (std::strncmp(argv[i], "--json=", 7) == 0) continue;
@@ -411,7 +412,7 @@ int main(int argc, char** argv) {
   kept.push_back(nullptr);
   benchmark::Initialize(&kept_argc, kept.data());
   if (benchmark::ReportUnrecognizedArguments(kept_argc, kept.data())) {
-    return 1;
+    return 2;
   }
   ReportDataPlaneFootprint();
   ReportIngestMemory();

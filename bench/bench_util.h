@@ -10,12 +10,16 @@
 // {"bench": ..., "params": ..., "seconds": ...} object, and the file is
 // written as one JSON array when the bench exits — the format the
 // BENCH_*.json perf-trajectory files are built from.
+//
+// The command line is checked before any work starts: --help prints the
+// usage and exits 0, and a flag the bench does not know exits 2.
 #ifndef FASTOD_BENCH_BENCH_UTIL_H_
 #define FASTOD_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -38,18 +42,35 @@ inline int ParseScale(int argc, char** argv) {
   return 1;
 }
 
-/// Scoped --json recorder: construct one in main, call RecordJson(params,
-/// seconds) at every measurement, and the destructor writes the array.
-/// With no --json flag every call is a no-op.
+/// Scoped --json recorder: construct one at the top of main, call
+/// RecordJson(params, seconds) at every measurement, and the destructor
+/// writes the array. With no --json flag every call is a no-op.
+///
+/// Construction also checks the command line: --help prints the usage
+/// and exits 0; an argument other than --scale=N, --json[=]PATH or one
+/// of `extra_flags` prints the usage to stderr and exits 2. An extra
+/// flag ending in '*' accepts every flag with that prefix.
 class BenchJson {
  public:
-  BenchJson(const char* bench_name, int argc, char** argv)
+  BenchJson(const char* bench_name, int argc, char** argv,
+            std::initializer_list<const char*> extra_flags = {})
       : bench_(bench_name) {
     for (int i = 1; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--json=", 7) == 0) {
-        path_ = argv[i] + 7;
-      } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
-        path_ = argv[i + 1];
+      const char* arg = argv[i];
+      if (std::strncmp(arg, "--json=", 7) == 0) {
+        path_ = arg + 7;
+      } else if (std::strcmp(arg, "--json") == 0 && i + 1 < argc) {
+        path_ = argv[++i];
+      } else if (std::strcmp(arg, "--help") == 0 ||
+                 std::strcmp(arg, "-h") == 0) {
+        PrintUsage(stdout, bench_name, extra_flags);
+        std::exit(0);
+      } else if (std::strncmp(arg, "--scale=", 8) != 0 &&
+                 !IsExtraFlag(arg, extra_flags)) {
+        std::fprintf(stderr, "%s: unknown argument '%s'\n", bench_name,
+                     arg);
+        PrintUsage(stderr, bench_name, extra_flags);
+        std::exit(2);
       }
     }
     Active() = this;
@@ -99,6 +120,31 @@ class BenchJson {
   }
 
  private:
+  static bool IsExtraFlag(const char* arg,
+                          std::initializer_list<const char*> flags) {
+    for (const char* flag : flags) {
+      const size_t n = std::strlen(flag);
+      const bool prefix = n > 0 && flag[n - 1] == '*';
+      if (prefix ? std::strncmp(arg, flag, n - 1) == 0
+                 : std::strcmp(arg, flag) == 0) {
+        return true;
+      }
+    }
+    return false;
+  }
+
+  static void PrintUsage(std::FILE* out, const char* bench_name,
+                         std::initializer_list<const char*> flags) {
+    std::fprintf(out, "usage: %s [--scale=N] [--json PATH]", bench_name);
+    for (const char* flag : flags) std::fprintf(out, " [%s]", flag);
+    std::fprintf(out,
+                 "\n  --scale=N    multiply the workload sizes by N "
+                 "(default 1)\n"
+                 "  --json PATH  also write every measurement to PATH "
+                 "as a JSON array\n"
+                 "  --help       print this and exit\n");
+  }
+
   std::string bench_;
   std::string path_;
   std::vector<std::string> records_;

@@ -73,15 +73,17 @@ void ChannelOdSink::OnListOd(const ListOd& od) { Push(od); }
 void ChannelOdSink::OnConditional(const ConditionalOd& od) { Push(od); }
 void ChannelOdSink::OnRevoked(const RevokedOd& od) { Push(od); }
 
-bool ChannelOdSink::Pop(OdEvent* out, std::chrono::milliseconds timeout) {
+bool ChannelOdSink::PopBatch(std::vector<OdEvent>* out,
+                             std::chrono::milliseconds timeout) {
+  out->clear();
   std::unique_lock<std::mutex> lock(mutex_);
   not_empty_.wait_for(lock, timeout,
                       [&] { return closed_ || !queue_.empty(); });
   if (queue_.empty()) return false;  // timeout, or closed and drained
-  *out = std::move(queue_.front());
-  queue_.pop_front();
+  for (OdEvent& event : queue_) out->push_back(std::move(event));
+  queue_.clear();
   lock.unlock();
-  not_full_.notify_one();
+  not_full_.notify_all();
   return true;
 }
 

@@ -150,8 +150,10 @@ using OdEvent = std::variant<ConstancyOd, CompatibilityOd,
 /// The engine thread is the producer: every hook enqueues one OdEvent,
 /// *blocking* while the queue is at capacity, so a slow consumer applies
 /// backpressure instead of letting an Exp-6-sized result set pile up in
-/// memory. The consumer thread calls Pop() until it returns false with
-/// the channel closed.
+/// memory. The consumer thread calls PopBatch() until it returns false
+/// with the channel closed. PopBatch takes everything queued under one
+/// lock, so a consumer that falls behind pays one handoff per batch
+/// rather than one per event.
 ///
 /// Close() may be called from either side and is where the lifetime knot
 /// unties: a consumer that goes away (client disconnect) closes the
@@ -171,11 +173,15 @@ class ChannelOdSink : public OdSink {
   void OnRevoked(const RevokedOd& od) override;
 
   // Consumer side.
-  /// Dequeues the oldest event. Returns false on timeout with the queue
-  /// still open (caller may retry) and on a drained closed channel
-  /// (caller should stop); distinguish via closed().
-  bool Pop(OdEvent* out,
-           std::chrono::milliseconds timeout = std::chrono::milliseconds(50));
+  /// Waits up to `timeout` for the queue to be non-empty, then replaces
+  /// *out with every queued event, oldest first (at most `capacity` of
+  /// them), and wakes a producer blocked on the full queue. Returns
+  /// false, with *out empty, on timeout with the queue still open (caller
+  /// may retry) and on a drained closed channel (caller should stop);
+  /// distinguish via closed().
+  bool PopBatch(std::vector<OdEvent>* out,
+                std::chrono::milliseconds timeout =
+                    std::chrono::milliseconds(50));
   /// Irreversibly stops accepting events and wakes both sides.
   void Close();
   bool closed() const;

@@ -9,36 +9,45 @@
 
 namespace fastod {
 
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
+namespace {
+
+/// JsonEscape appended to *out, without the temporary.
+void AppendJsonEscaped(const std::string& s, std::string* out) {
   for (char c : s) {
     switch (c) {
       case '"':
-        out += "\\\"";
+        *out += "\\\"";
         break;
       case '\\':
-        out += "\\\\";
+        *out += "\\\\";
         break;
       case '\n':
-        out += "\\n";
+        *out += "\\n";
         break;
       case '\r':
-        out += "\\r";
+        *out += "\\r";
         break;
       case '\t':
-        out += "\\t";
+        *out += "\\t";
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
           std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
+          *out += buf;
         } else {
-          out += c;
+          *out += c;
         }
     }
   }
+}
+
+}  // namespace
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  AppendJsonEscaped(s, &out);
   return out;
 }
 
@@ -52,14 +61,14 @@ void JsonWriter::BeforeValue() {
     FASTOD_CHECK(top.key_pending);
     top.key_pending = false;
   } else if (top.has_value) {
-    out_ += ", ";
+    *out_ += ", ";
   }
   top.has_value = true;
 }
 
 JsonWriter& JsonWriter::BeginObject() {
   BeforeValue();
-  out_ += '{';
+  *out_ += '{';
   stack_.push_back({'{'});
   return *this;
 }
@@ -68,13 +77,13 @@ JsonWriter& JsonWriter::EndObject() {
   FASTOD_CHECK(!stack_.empty() && stack_.back().kind == '{' &&
                !stack_.back().key_pending);
   stack_.pop_back();
-  out_ += '}';
+  *out_ += '}';
   return *this;
 }
 
 JsonWriter& JsonWriter::BeginArray() {
   BeforeValue();
-  out_ += '[';
+  *out_ += '[';
   stack_.push_back({'['});
   return *this;
 }
@@ -82,40 +91,40 @@ JsonWriter& JsonWriter::BeginArray() {
 JsonWriter& JsonWriter::EndArray() {
   FASTOD_CHECK(!stack_.empty() && stack_.back().kind == '[');
   stack_.pop_back();
-  out_ += ']';
+  *out_ += ']';
   return *this;
 }
 
 JsonWriter& JsonWriter::Key(const std::string& key) {
   FASTOD_CHECK(!stack_.empty() && stack_.back().kind == '{' &&
                !stack_.back().key_pending);
-  if (stack_.back().has_value) out_ += ", ";
+  if (stack_.back().has_value) *out_ += ", ";
   stack_.back().key_pending = true;
   stack_.back().has_value = false;  // BeforeValue handles the comma above
-  out_ += '"';
-  out_ += JsonEscape(key);
-  out_ += "\": ";
+  *out_ += '"';
+  AppendJsonEscaped(key, out_);
+  *out_ += "\": ";
   return *this;
 }
 
 JsonWriter& JsonWriter::String(const std::string& value) {
   BeforeValue();
-  out_ += '"';
-  out_ += JsonEscape(value);
-  out_ += '"';
+  *out_ += '"';
+  AppendJsonEscaped(value, out_);
+  *out_ += '"';
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(int64_t value) {
   BeforeValue();
-  out_ += std::to_string(value);
+  *out_ += std::to_string(value);
   return *this;
 }
 
 JsonWriter& JsonWriter::Double(double value) {
   BeforeValue();
   if (!std::isfinite(value)) {
-    out_ += "null";  // JSON has no Inf/NaN literals
+    *out_ += "null";  // JSON has no Inf/NaN literals
     return *this;
   }
   // %g, not %f: a fixed six-decimal rendering flushes small fractions
@@ -123,25 +132,25 @@ JsonWriter& JsonWriter::Double(double value) {
   // large magnitudes in bounded width.
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.12g", value);
-  out_ += buf;
+  *out_ += buf;
   return *this;
 }
 
 JsonWriter& JsonWriter::Bool(bool value) {
   BeforeValue();
-  out_ += value ? "true" : "false";
+  *out_ += value ? "true" : "false";
   return *this;
 }
 
 JsonWriter& JsonWriter::Null() {
   BeforeValue();
-  out_ += "null";
+  *out_ += "null";
   return *this;
 }
 
 JsonWriter& JsonWriter::Raw(const std::string& json) {
   BeforeValue();
-  out_ += json;
+  *out_ += json;
   return *this;
 }
 

@@ -40,6 +40,15 @@ std::string JsonEscape(const std::string& s);
 /// the writer never produces malformed output from well-ordered calls.
 class JsonWriter {
  public:
+  JsonWriter() : out_(&own_) {}
+  /// Appends to a caller-owned buffer instead of an internal one, so a
+  /// hot path can render many documents (e.g. NDJSON lines) into one
+  /// reused string. Text already in the buffer is kept.
+  explicit JsonWriter(std::string* out) : out_(out) {}
+
+  JsonWriter(const JsonWriter&) = delete;
+  JsonWriter& operator=(const JsonWriter&) = delete;
+
   JsonWriter& BeginObject();
   JsonWriter& EndObject();
   JsonWriter& BeginArray();
@@ -56,12 +65,13 @@ class JsonWriter {
   /// Splices pre-rendered JSON (e.g. a report string) as one value.
   JsonWriter& Raw(const std::string& json);
 
-  const std::string& str() const { return out_; }
+  const std::string& str() const { return *out_; }
 
  private:
   void BeforeValue();
 
-  std::string out_;
+  std::string own_;
+  std::string* out_;
   // One frame per open container: '{' or '[', plus whether a value has
   // been written at this level (comma placement) and, for objects,
   // whether a key is pending.

@@ -136,10 +136,11 @@ void AppendSpec(JsonWriter* w, const OrderSpec& spec, const Schema& schema) {
   w->EndArray();
 }
 
-/// One streamed OD as a single NDJSON line. Field names match the
-/// /result report shapes so clients parse both with one schema.
-std::string EventJsonLine(const OdEvent& event, const Schema& schema) {
-  JsonWriter w;
+/// Appends one streamed OD to *out as a single NDJSON line. Field names
+/// match the /result report shapes so clients parse both with one schema.
+void AppendEventJsonLine(const OdEvent& event, const Schema& schema,
+                         std::string* out) {
+  JsonWriter w(out);
   w.BeginObject();
   std::visit(
       [&](const auto& od) {
@@ -192,7 +193,7 @@ std::string EventJsonLine(const OdEvent& event, const Schema& schema) {
       },
       event);
   w.EndObject();
-  return w.str() + "\n";
+  out->push_back('\n');
 }
 
 /// Parses a {"csv_options": {...}} object into CsvOptions.
@@ -1179,47 +1180,50 @@ void DiscoveryServer::HandleStream(SessionId id,
   }
 
   ChannelOdSink& channel = stream->channel;
-  OdEvent event;
+  std::vector<OdEvent> batch;
+  std::string chunk;  // reused: one batch's NDJSON lines
   int64_t streamed = 0;
   const Schema* schema = nullptr;
   obs::Counter* ods_counter =
       obs::Enabled() ? StreamOdsCounter() : nullptr;
   obs::Counter* bytes_counter =
       obs::Enabled() ? StreamBytesCounter() : nullptr;
+  // Writes `batch` as one chunk; false once the client is gone (the
+  // channel is then closed).
+  auto deliver = [&] {
+    // The engine emitted these after binding data, so the schema is
+    // set; it is immutable for the rest of the session.
+    if (schema == nullptr) schema = session->algorithm().schema();
+    chunk.clear();
+    for (const OdEvent& event : batch) {
+      AppendEventJsonLine(event, *schema, &chunk);
+    }
+    if (!writer.WriteChunk(chunk)) {
+      channel.Close();
+      return false;
+    }
+    const auto events = static_cast<int64_t>(batch.size());
+    if (ods_counter != nullptr) {
+      ods_counter->Inc(events);
+      bytes_counter->Inc(static_cast<int64_t>(chunk.size()));
+    }
+    streamed += events;
+    return true;
+  };
   for (;;) {
-    if (channel.Pop(&event, std::chrono::milliseconds(50))) {
-      // The engine emitted this after binding data, so the schema is
-      // set; it is immutable for the rest of the session.
-      if (schema == nullptr) schema = session->algorithm().schema();
-      std::string line = EventJsonLine(event, *schema);
-      if (!writer.WriteChunk(line)) {
-        channel.Close();
-        return;
-      }
-      if (ods_counter != nullptr) {
-        ods_counter->Inc();
-        bytes_counter->Inc(static_cast<int64_t>(line.size()));
-      }
-      ++streamed;
+    // A batch is whatever queued while the previous one was on the
+    // wire: sent as soon as anything is there, never held back.
+    if (channel.PopBatch(&batch, std::chrono::milliseconds(50))) {
+      if (!deliver()) return;
       continue;
     }
     SessionState state = session->state();
     if (IsTerminal(state)) {
-      // Every push happened before the terminal transition; one
+      // Every push happened before the terminal transition; a
       // non-blocking drain empties the queue, then the end line closes
       // the stream.
-      while (channel.Pop(&event, std::chrono::milliseconds(0))) {
-        if (schema == nullptr) schema = session->algorithm().schema();
-        std::string line = EventJsonLine(event, *schema);
-        if (!writer.WriteChunk(line)) {
-          channel.Close();
-          return;
-        }
-        if (ods_counter != nullptr) {
-          ods_counter->Inc();
-          bytes_counter->Inc(static_cast<int64_t>(line.size()));
-        }
-        ++streamed;
+      while (channel.PopBatch(&batch, std::chrono::milliseconds(0))) {
+        if (!deliver()) return;
       }
       Status final_status = session->status();
       JsonWriter w;
@@ -1249,7 +1253,7 @@ void DiscoveryServer::HandleStream(SessionId id,
     }
     if (channel.closed()) {
       // Cancelled (DELETE closed the channel) but the engine hasn't hit
-      // its checkpoint yet: Pop returns instantly on a closed drained
+      // its checkpoint yet: PopBatch returns instantly on a closed drained
       // channel, so pace the terminal-state polling explicitly instead
       // of spinning.
       std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -95,6 +95,12 @@
 // arrive in the engine's deterministic emission order, so the streamed
 // set of a completed session is exactly the /result set.
 //
+// The handler drains the channel in batches: whatever queued while the
+// previous chunk was being written is rendered into one buffer and sent
+// as one HTTP chunk, as soon as anything is queued (no linger timer).
+// A chunk therefore carries one or more complete NDJSON lines; clients
+// must split on '\n', not on chunk boundaries.
+//
 // Caveat that follows from backpressure: a "stream": true session whose
 // stream is never consumed parks its worker once the channel fills
 // (stream_capacity events). Clients that opt into streaming must either

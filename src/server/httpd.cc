@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/types.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -190,15 +191,30 @@ const char* HttpReason(int status) {
 // ---------------------------------------------------------------- writer
 
 bool HttpResponseWriter::WriteAll(const char* data, size_t size) {
+  iovec part{const_cast<char*>(data), size};
+  return WriteAllV(&part, 1);
+}
+
+bool HttpResponseWriter::WriteAllV(iovec* parts, size_t count) {
   if (FASTOD_FAULT_POINT("httpd.write")) return false;
-  while (size > 0) {
+  size_t sent = 0;  // bytes of parts[0..] already on the wire
+  for (;;) {
+    while (count > 0 && sent >= parts->iov_len) {
+      sent -= parts->iov_len;
+      ++parts;
+      --count;
+    }
+    if (count == 0) return true;
+    parts->iov_base = static_cast<char*>(parts->iov_base) + sent;
+    parts->iov_len -= sent;
+    msghdr message{};
+    message.msg_iov = parts;
+    message.msg_iovlen = count;
     // MSG_NOSIGNAL: a vanished client surfaces as EPIPE, not SIGPIPE.
-    ssize_t n = send(fd_, data, size, MSG_NOSIGNAL);
+    ssize_t n = sendmsg(fd_, &message, MSG_NOSIGNAL);
     if (n <= 0) return false;
-    data += n;
-    size -= static_cast<size_t>(n);
+    sent = static_cast<size_t>(n);
   }
-  return true;
 }
 
 bool HttpResponseWriter::Send(int status, const std::string& content_type,
@@ -238,8 +254,11 @@ bool HttpResponseWriter::WriteChunk(const std::string& data) {
   if (!chunked_ || data.empty()) return chunked_;
   char size_line[32];
   int n = std::snprintf(size_line, sizeof(size_line), "%zx\r\n", data.size());
-  return WriteAll(size_line, static_cast<size_t>(n)) &&
-         WriteAll(data.data(), data.size()) && WriteAll("\r\n", 2);
+  char crlf[] = "\r\n";
+  iovec parts[] = {{size_line, static_cast<size_t>(n)},
+                   {const_cast<char*>(data.data()), data.size()},
+                   {crlf, 2}};
+  return WriteAllV(parts, 3);
 }
 
 bool HttpResponseWriter::EndChunked() {

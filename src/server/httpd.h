@@ -34,6 +34,8 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 
+struct iovec;
+
 namespace fastod {
 
 /// One parsed request. Header names are lowercased; the path is
@@ -75,6 +77,9 @@ class HttpResponseWriter {
   /// Starts a chunked response; stream with WriteChunk, finish with
   /// EndChunked (which sends the terminating 0-length chunk).
   bool BeginChunked(int status, const std::string& content_type);
+  /// Sends `data` as one chunk — size line, payload and CRLF in a single
+  /// gathered send — so a caller that batches its output pays one
+  /// syscall (and, under TCP_NODELAY, one segment train) per chunk.
   bool WriteChunk(const std::string& data);
   bool EndChunked();
 
@@ -84,6 +89,9 @@ class HttpResponseWriter {
 
  private:
   bool WriteAll(const char* data, size_t size);
+  /// Sends every byte of `parts` in order, retrying partial sends. One
+  /// httpd.write fault-point hit per call.
+  bool WriteAllV(iovec* parts, size_t count);
 
   int fd_;
   bool started_ = false;

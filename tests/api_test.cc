@@ -499,29 +499,58 @@ TEST_F(ApiEquivalenceTest, ControlReportsCompletion) {
 
 // --------------------------------------------------- ChannelOdSink
 
+int AttributeOf(const OdEvent& event) {
+  return std::get<ConstancyOd>(event).attribute;
+}
+
 TEST(ChannelOdSinkTest, DeliversEventsInOrderAcrossThreads) {
-  ChannelOdSink channel(8);
+  constexpr size_t kCapacity = 8;
+  ChannelOdSink channel(kCapacity);
   std::thread producer([&] {
-    for (int i = 0; i < 100; ++i) {
+    for (int i = 0; i < 2000; ++i) {
       channel.OnConstancy(ConstancyOd{AttributeSet(), i % 7});
     }
     channel.Close();
   });
   int popped = 0;
-  OdEvent event;
+  std::vector<OdEvent> batch;
   while (true) {
-    if (!channel.Pop(&event, std::chrono::milliseconds(100))) {
+    if (!channel.PopBatch(&batch, std::chrono::milliseconds(100))) {
       if (channel.closed()) break;
       continue;
     }
-    ASSERT_TRUE(std::holds_alternative<ConstancyOd>(event));
-    EXPECT_EQ(std::get<ConstancyOd>(event).attribute, popped % 7);
-    ++popped;
+    ASSERT_FALSE(batch.empty());
+    ASSERT_LE(batch.size(), kCapacity);
+    for (const OdEvent& event : batch) {
+      ASSERT_TRUE(std::holds_alternative<ConstancyOd>(event));
+      EXPECT_EQ(AttributeOf(event), popped % 7);
+      ++popped;
+    }
   }
   producer.join();
-  EXPECT_EQ(popped, 100);
-  EXPECT_EQ(channel.pushed(), 100);
+  EXPECT_EQ(popped, 2000);
+  EXPECT_EQ(channel.pushed(), 2000);
   EXPECT_EQ(channel.dropped(), 0);
+}
+
+TEST(ChannelOdSinkTest, PopBatchTakesEverythingQueuedInOrder) {
+  ChannelOdSink channel(8);
+  for (int i = 0; i < 5; ++i) {
+    channel.OnConstancy(ConstancyOd{AttributeSet(), i});
+  }
+  std::vector<OdEvent> batch;
+  ASSERT_TRUE(channel.PopBatch(&batch, std::chrono::milliseconds(10)));
+  ASSERT_EQ(batch.size(), 5u);
+  for (int i = 0; i < 5; ++i) EXPECT_EQ(AttributeOf(batch[i]), i);
+  EXPECT_FALSE(channel.PopBatch(&batch, std::chrono::milliseconds(1)));
+}
+
+TEST(ChannelOdSinkTest, PopBatchTimesOutEmptyOnAnOpenChannel) {
+  ChannelOdSink channel(4);
+  std::vector<OdEvent> batch = {ConstancyOd{AttributeSet(), 9}};
+  EXPECT_FALSE(channel.PopBatch(&batch, std::chrono::milliseconds(10)));
+  EXPECT_TRUE(batch.empty());
+  EXPECT_FALSE(channel.closed());  // a timeout, not the end
 }
 
 TEST(ChannelOdSinkTest, BackpressureBlocksProducerUntilPopped) {
@@ -537,13 +566,36 @@ TEST(ChannelOdSinkTest, BackpressureBlocksProducerUntilPopped) {
   // than the buffer, however long we stall.
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_LE(produced.load(), 3);  // 2 buffered + 1 in flight
-  OdEvent event;
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(channel.Pop(&event, std::chrono::milliseconds(1000)));
+  int popped = 0;
+  std::vector<OdEvent> batch;
+  while (popped < 5 &&
+         channel.PopBatch(&batch, std::chrono::milliseconds(1000))) {
+    popped += static_cast<int>(batch.size());
   }
   producer.join();
+  EXPECT_EQ(popped, 5);
   EXPECT_EQ(produced.load(), 5);
-  EXPECT_FALSE(channel.Pop(&event, std::chrono::milliseconds(1)));
+  EXPECT_FALSE(channel.PopBatch(&batch, std::chrono::milliseconds(1)));
+}
+
+TEST(ChannelOdSinkTest, OnePopBatchReleasesBlockedProducer) {
+  ChannelOdSink channel(2);
+  channel.OnConstancy(ConstancyOd{AttributeSet(), 0});
+  channel.OnConstancy(ConstancyOd{AttributeSet(), 1});  // queue full
+  std::thread producer([&] {
+    channel.OnConstancy(ConstancyOd{AttributeSet(), 2});  // blocks
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(channel.pushed(), 2);
+  std::vector<OdEvent> batch;
+  EXPECT_TRUE(channel.PopBatch(&batch, std::chrono::milliseconds(10)));
+  producer.join();  // hangs here unless the drain woke the producer
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(AttributeOf(batch[0]), 0);
+  EXPECT_EQ(AttributeOf(batch[1]), 1);
+  ASSERT_TRUE(channel.PopBatch(&batch, std::chrono::milliseconds(1000)));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(AttributeOf(batch[0]), 2);
 }
 
 TEST(ChannelOdSinkTest, CloseUnblocksProducerAndDropsButKeepsQueued) {
@@ -556,12 +608,28 @@ TEST(ChannelOdSinkTest, CloseUnblocksProducerAndDropsButKeepsQueued) {
   channel.Close();  // unblocks the producer; its event is dropped
   producer.join();
   EXPECT_EQ(channel.dropped(), 1);
-  // Drain-then-stop: the queued event is still deliverable after Close.
-  OdEvent event;
-  ASSERT_TRUE(channel.Pop(&event, std::chrono::milliseconds(10)));
-  EXPECT_EQ(std::get<ConstancyOd>(event).attribute, 1);
-  EXPECT_FALSE(channel.Pop(&event, std::chrono::milliseconds(10)));
+  // Drain-then-stop: the queued event is still deliverable after Close,
+  // and then the closed, drained channel returns nothing.
+  std::vector<OdEvent> batch;
+  ASSERT_TRUE(channel.PopBatch(&batch, std::chrono::milliseconds(10)));
+  ASSERT_EQ(batch.size(), 1u);
+  EXPECT_EQ(AttributeOf(batch[0]), 1);
+  EXPECT_FALSE(channel.PopBatch(&batch, std::chrono::milliseconds(10)));
+  EXPECT_TRUE(batch.empty());
   EXPECT_EQ(channel.pushed(), 1);
+}
+
+TEST(ChannelOdSinkTest, PushesAfterCloseAreDroppedNotDelivered) {
+  ChannelOdSink channel(4);
+  channel.Close();
+  for (int i = 0; i < 3; ++i) {
+    channel.OnConstancy(ConstancyOd{AttributeSet(), i});
+  }
+  EXPECT_EQ(channel.pushed(), 0);
+  EXPECT_EQ(channel.dropped(), 3);
+  std::vector<OdEvent> batch;
+  EXPECT_FALSE(channel.PopBatch(&batch, std::chrono::milliseconds(1)));
+  EXPECT_TRUE(batch.empty());
 }
 
 TEST(ChannelOdSinkTest, CarriesEveryOdShape) {
@@ -571,17 +639,14 @@ TEST(ChannelOdSinkTest, CarriesEveryOdShape) {
   channel.OnBidirectional(BidiCompatibilityOd(AttributeSet(), 0, 1));
   channel.OnListOd(ListOd{{0}, {1}});
   channel.OnConditional(ConditionalOd{});
-  OdEvent event;
-  ASSERT_TRUE(channel.Pop(&event));
-  EXPECT_TRUE(std::holds_alternative<ConstancyOd>(event));
-  ASSERT_TRUE(channel.Pop(&event));
-  EXPECT_TRUE(std::holds_alternative<CompatibilityOd>(event));
-  ASSERT_TRUE(channel.Pop(&event));
-  EXPECT_TRUE(std::holds_alternative<BidiCompatibilityOd>(event));
-  ASSERT_TRUE(channel.Pop(&event));
-  EXPECT_TRUE(std::holds_alternative<ListOd>(event));
-  ASSERT_TRUE(channel.Pop(&event));
-  EXPECT_TRUE(std::holds_alternative<ConditionalOd>(event));
+  std::vector<OdEvent> batch;
+  ASSERT_TRUE(channel.PopBatch(&batch));
+  ASSERT_EQ(batch.size(), 5u);
+  EXPECT_TRUE(std::holds_alternative<ConstancyOd>(batch[0]));
+  EXPECT_TRUE(std::holds_alternative<CompatibilityOd>(batch[1]));
+  EXPECT_TRUE(std::holds_alternative<BidiCompatibilityOd>(batch[2]));
+  EXPECT_TRUE(std::holds_alternative<ListOd>(batch[3]));
+  EXPECT_TRUE(std::holds_alternative<ConditionalOd>(batch[4]));
 }
 
 // A live engine streaming through the channel produces exactly the
@@ -604,18 +669,20 @@ TEST(ChannelOdSinkTest, EngineStreamMatchesCollectingSink) {
     channel.Close();
   });
   CollectingOdSink replayed;
-  OdEvent event;
+  std::vector<OdEvent> batch;
   while (true) {
-    if (!channel.Pop(&event, std::chrono::milliseconds(100))) {
+    if (!channel.PopBatch(&batch, std::chrono::milliseconds(100))) {
       if (channel.closed()) break;
       continue;
     }
-    if (std::holds_alternative<ConstancyOd>(event)) {
-      replayed.OnConstancy(std::get<ConstancyOd>(event));
-    } else if (std::holds_alternative<CompatibilityOd>(event)) {
-      replayed.OnCompatibility(std::get<CompatibilityOd>(event));
-    } else if (std::holds_alternative<BidiCompatibilityOd>(event)) {
-      replayed.OnBidirectional(std::get<BidiCompatibilityOd>(event));
+    for (const OdEvent& event : batch) {
+      if (std::holds_alternative<ConstancyOd>(event)) {
+        replayed.OnConstancy(std::get<ConstancyOd>(event));
+      } else if (std::holds_alternative<CompatibilityOd>(event)) {
+        replayed.OnCompatibility(std::get<CompatibilityOd>(event));
+      } else if (std::holds_alternative<BidiCompatibilityOd>(event)) {
+        replayed.OnBidirectional(std::get<BidiCompatibilityOd>(event));
+      }
     }
   }
   runner.join();

@@ -13,17 +13,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <variant>
+#include <vector>
 
 #include "api/engines.h"
 #include "api/od_sink.h"
 #include "api/registry.h"
 #include "common/fault.h"
+#include "common/json.h"
 #include "common/status.h"
 #include "data/csv.h"
 #include "data/dataset_store.h"
@@ -44,9 +49,11 @@ struct ScheduleGuard {
 
 std::string EmployeeCsv() { return WriteCsvString(EmployeeTaxTable()); }
 
-/// Minimal raw GET: connects, sends the request, returns everything the
+/// Minimal raw request: connects, sends it, returns everything the
 /// server wrote before closing ("" when the connection died first).
-std::string RawGet(int port, const std::string& path) {
+std::string RawRequest(int port, const std::string& method,
+                       const std::string& path,
+                       const std::string& body = "") {
   int fd = socket(AF_INET, SOCK_STREAM, 0);
   if (fd < 0) return "";
   sockaddr_in addr{};
@@ -57,8 +64,12 @@ std::string RawGet(int port, const std::string& path) {
     close(fd);
     return "";
   }
-  std::string request =
-      "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
+  std::string request = method + " " + path +
+                        " HTTP/1.1\r\nHost: 127.0.0.1\r\n";
+  if (!body.empty()) {
+    request += "Content-Length: " + std::to_string(body.size()) + "\r\n";
+  }
+  request += "\r\n" + body;
   size_t sent = 0;
   while (sent < request.size()) {
     ssize_t n = send(fd, request.data() + sent, request.size() - sent, 0);
@@ -73,6 +84,32 @@ std::string RawGet(int port, const std::string& path) {
   }
   close(fd);
   return response;
+}
+
+std::string RawGet(int port, const std::string& path) {
+  return RawRequest(port, "GET", path);
+}
+
+/// The body of a raw response, chunked transfer coding undone; stops at
+/// the first incomplete chunk.
+std::string BodyOf(const std::string& response) {
+  size_t pos = response.find("\r\n\r\n");
+  if (pos == std::string::npos) return "";
+  pos += 4;
+  if (response.find("Transfer-Encoding: chunked") == std::string::npos) {
+    return response.substr(pos);
+  }
+  std::string body;
+  for (;;) {
+    size_t eol = response.find("\r\n", pos);
+    if (eol == std::string::npos) break;
+    size_t size = std::strtoul(response.substr(pos, eol - pos).c_str(),
+                               nullptr, 16);
+    if (size == 0 || eol + 2 + size > response.size()) break;
+    body += response.substr(eol + 2, size);
+    pos = eol + 2 + size + 2;
+  }
+  return body;
 }
 
 // ----------------------------------------------- schedule machinery
@@ -268,13 +305,13 @@ TEST(FaultPointTest, SinkPushFailDropsExactlyTheScheduledEvent) {
   EXPECT_EQ(sink.pushed(), 2);
   EXPECT_EQ(sink.dropped(), 1);
   // The two delivered events drain in order; the dropped one is gone.
-  OdEvent event;
-  ASSERT_TRUE(sink.Pop(&event));
-  EXPECT_EQ(std::get<ConstancyOd>(event).attribute, 0);
-  ASSERT_TRUE(sink.Pop(&event));
-  EXPECT_EQ(std::get<ConstancyOd>(event).attribute, 2);
+  std::vector<OdEvent> batch;
+  ASSERT_TRUE(sink.PopBatch(&batch));
+  ASSERT_EQ(batch.size(), 2u);
+  EXPECT_EQ(std::get<ConstancyOd>(batch[0]).attribute, 0);
+  EXPECT_EQ(std::get<ConstancyOd>(batch[1]).attribute, 2);
   sink.Close();
-  EXPECT_FALSE(sink.Pop(&event));
+  EXPECT_FALSE(sink.PopBatch(&batch));
 }
 
 TEST(FaultPointTest, SinkPushFailDuringRunStillFinishesSession) {
@@ -317,6 +354,100 @@ TEST(FaultPointTest, HttpdWriteFailClosesOneConnectionServerKeepsServing) {
   // Second request on a fresh connection: full service.
   std::string second = RawGet(server.port(), "/v1/algorithms");
   EXPECT_EQ(second.rfind("HTTP/1.1 200", 0), 0) << second;
+  server.Stop();
+}
+
+/// GET /v1/sessions/{id} parsed; polls until the state is terminal.
+JsonValue WaitSessionTerminal(int port, int64_t id) {
+  for (int i = 0; i < 3000; ++i) {
+    auto info = ParseJson(
+        BodyOf(RawGet(port, "/v1/sessions/" + std::to_string(id))));
+    if (info.ok()) {
+      const std::string& state = info->Find("state")->string_value();
+      if (state == "done" || state == "failed" || state == "cancelled" ||
+          state == "deadline_exceeded") {
+        return *info;
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ADD_FAILURE() << "session " << id << " never reached a terminal state";
+  return JsonValue();
+}
+
+int64_t CreateStreamedSession(int port, const std::string& csv) {
+  JsonWriter post;
+  post.BeginObject()
+      .Key("algorithm").String("fastod")
+      .Key("csv").String(csv)
+      .Key("stream").Bool(true)
+      .EndObject();
+  auto created = ParseJson(BodyOf(
+      RawRequest(port, "POST", "/v1/sessions", post.str())));
+  EXPECT_TRUE(created.ok());
+  if (!created.ok() || created->Find("id") == nullptr) return -1;
+  return created->Find("id")->int_value();
+}
+
+TEST(FaultPointTest, HttpdWriteFailOnStreamChunkClosesChannelRunFinishes) {
+  ScheduleGuard guard;
+  const Table table = GenFlightLike(300, 8, 7);
+  const std::string csv = WriteCsvString(table);
+  CollectingOdSink baseline;
+  auto algo = AlgorithmRegistry::Default().Create("fastod");
+  ASSERT_TRUE(algo.ok());
+  (*algo)->SetSink(&baseline);
+  ASSERT_TRUE((*algo)->LoadData(table).ok());
+  ASSERT_TRUE((*algo)->Execute().ok());
+  const int64_t total = baseline.TotalOds();
+  ASSERT_GT(total, 10);
+
+  DiscoveryServerOptions options;
+  options.port = 0;
+  options.http_threads = 2;
+  options.worker_threads = 1;
+  options.stream_capacity = 1;  // an unclosed channel would park the run
+  DiscoveryServer server(options);
+  ASSERT_TRUE(server.Start().ok());
+  const int64_t id = CreateStreamedSession(server.port(), csv);
+  ASSERT_GE(id, 0);
+
+  // Hit 1 is the chunked header, hit 2 the first batch's chunk.
+  ASSERT_TRUE(fault::SetSchedule("httpd.write:fail:2"));
+  std::string broken = RawGet(
+      server.port(), "/v1/sessions/" + std::to_string(id) + "/stream");
+  EXPECT_EQ(broken.rfind("HTTP/1.1 200", 0), 0) << broken;
+  EXPECT_EQ(broken.find("\"end\""), std::string::npos) << broken;
+  EXPECT_EQ(fault::Hits("httpd.write"), 2);
+  fault::Clear();
+
+  // The handler closed the channel: the engine ran on, its remaining
+  // pushes dropped, and the session finished with everything in /result.
+  JsonValue info = WaitSessionTerminal(server.port(), id);
+  EXPECT_EQ(info.Find("state")->string_value(), "done") << info.Dump();
+  EXPECT_LT(info.Find("ods_streamed")->int_value(), total) << info.Dump();
+  auto report = ParseJson(BodyOf(RawGet(
+      server.port(), "/v1/sessions/" + std::to_string(id) + "/result")));
+  ASSERT_TRUE(report.ok());
+  EXPECT_EQ(report->Find("constancy_ods")->array_items().size(),
+            baseline.constancy_ods().size());
+  EXPECT_EQ(report->Find("compatibility_ods")->array_items().size(),
+            baseline.compatibility_ods().size());
+
+  // The next streamed session is served in full.
+  const int64_t next = CreateStreamedSession(server.port(), csv);
+  ASSERT_GE(next, 0);
+  std::string body = BodyOf(RawGet(
+      server.port(), "/v1/sessions/" + std::to_string(next) + "/stream"));
+  ASSERT_FALSE(body.empty());
+  ASSERT_EQ(body.back(), '\n');
+  EXPECT_EQ(std::count(body.begin(), body.end(), '\n'), total + 1);
+  const size_t end_start = body.rfind('\n', body.size() - 2) + 1;
+  auto end = ParseJson(body.substr(end_start));
+  ASSERT_TRUE(end.ok()) << body.substr(end_start);
+  EXPECT_EQ(end->Find("type")->string_value(), "end");
+  EXPECT_EQ(end->Find("state")->string_value(), "done");
+  EXPECT_EQ(end->Find("streamed")->int_value(), total);
   server.Stop();
 }
 

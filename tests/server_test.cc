@@ -197,7 +197,16 @@ ClientResponse Fetch(int port, const std::string& method,
 
 /// Emits one constancy OD per step, blocking between steps until the
 /// test releases it (or cancel arrives) — deterministic mid-run
-/// streaming without sleeps.
+/// streaming without sleeps. Step s emits TrickleOd(s, width): distinct
+/// per step for width * 2^width steps, and ({}, a), ({}, b) first on the
+/// two-column fixtures. /result lists the emitted ODs in emission order.
+ConstancyOd TrickleOd(int step, int width) {
+  return ConstancyOd{
+      AttributeSet(static_cast<uint64_t>(step / width) &
+                   AttributeSet::FullSet(width).bits()),
+      step % width};
+}
+
 class TrickleAlgorithm : public Algorithm {
  public:
   struct Gate {
@@ -205,10 +214,10 @@ class TrickleAlgorithm : public Algorithm {
     std::condition_variable cv;
     int released = 0;  // steps allowed beyond the first
 
-    void Release() {
+    void Release(int steps = 1) {
       {
         std::lock_guard<std::mutex> lock(mutex);
-        ++released;
+        released += steps;
       }
       cv.notify_all();
     }
@@ -221,15 +230,27 @@ class TrickleAlgorithm : public Algorithm {
 
   std::string ResultText() const override { return "trickle\n"; }
   std::string ResultJson() const override {
-    return "{\"algorithm\": \"trickle\"}\n";
+    JsonWriter w;
+    w.BeginObject().Key("algorithm").String("trickle");
+    w.Key("constancy_ods").BeginArray();
+    for (const ConstancyOd& od : emitted_) {
+      w.BeginObject().Key("context").BeginArray();
+      for (int a = od.context.First(); a >= 0; a = od.context.Next(a)) {
+        w.String(schema()->name(a));
+      }
+      w.EndArray().Key("attribute").String(schema()->name(od.attribute));
+      w.EndObject();
+    }
+    w.EndArray().EndObject();
+    return w.str() + "\n";
   }
 
  protected:
   Status ExecuteInternal() override {
+    const int width = schema()->NumAttributes();
     for (int step = 0; step < steps_; ++step) {
-      if (sink() != nullptr) {
-        sink()->OnConstancy(ConstancyOd{AttributeSet(), step % 2});
-      }
+      emitted_.push_back(TrickleOd(step, width));
+      if (sink() != nullptr) sink()->OnConstancy(emitted_.back());
       if (step + 1 == steps_) break;
       std::unique_lock<std::mutex> lock(gate_->mutex);
       bool ok = gate_->cv.wait_for(
@@ -247,6 +268,7 @@ class TrickleAlgorithm : public Algorithm {
  private:
   Gate* gate_;
   int steps_;
+  std::vector<ConstancyOd> emitted_;
 };
 
 class ThrowingAlgorithm : public Algorithm {
@@ -268,7 +290,7 @@ std::string EmployeeCsv() { return WriteCsvString(EmployeeTaxTable()); }
 /// the test-only ones above.
 class ServerFixture {
  public:
-  explicit ServerFixture(int steps = 2) {
+  explicit ServerFixture(int steps = 2, size_t stream_capacity = 256) {
     RegisterBuiltinAlgorithms(&registry_);
     registry_.Register("trickle", [this, steps] {
       return std::unique_ptr<Algorithm>(new TrickleAlgorithm(&gate_,
@@ -281,6 +303,7 @@ class ServerFixture {
     options.port = 0;
     options.http_threads = 4;
     options.worker_threads = 2;
+    options.stream_capacity = stream_capacity;
     server_ = std::make_unique<DiscoveryServer>(options, &registry_);
     Status started = server_->Start();
     EXPECT_TRUE(started.ok()) << started.ToString();
@@ -1415,6 +1438,183 @@ TEST(DiscoveryServerTest, MetricsDisabledKeepsEndpointsServable) {
   ASSERT_EQ(result.status, 200);
   EXPECT_EQ(result.body.find("\"trace\":"), std::string::npos)
       << result.body;
+}
+
+// ------------------------------------------------- batched delivery
+
+/// A header of `width` columns c0..c{width-1} over one data row.
+std::string WideCsv(int width) {
+  std::string header;
+  std::string row;
+  for (int c = 0; c < width; ++c) {
+    header += (c == 0 ? "c" : ",c") + std::to_string(c);
+    row += (c == 0 ? "" : ",") + std::to_string(c);
+  }
+  return header + "\n" + row + "\n";
+}
+
+/// The NDJSON line /stream renders for TrickleOd(step, width) over
+/// WideCsv(width), newline included.
+std::string TrickleLine(int step, int width) {
+  ConstancyOd od = TrickleOd(step, width);
+  JsonWriter w;
+  w.BeginObject().Key("type").String("constancy").Key("context");
+  w.BeginArray();
+  for (int a = od.context.First(); a >= 0; a = od.context.Next(a)) {
+    w.String("c" + std::to_string(a));
+  }
+  w.EndArray().Key("attribute").String("c" + std::to_string(od.attribute));
+  w.EndObject();
+  return w.str() + "\n";
+}
+
+/// Splits a body on '\n' (each piece without its newline).
+std::vector<std::string> SplitLines(const std::string& text) {
+  std::vector<std::string> lines;
+  size_t start = 0;
+  for (size_t nl; (nl = text.find('\n', start)) != std::string::npos;
+       start = nl + 1) {
+    lines.push_back(text.substr(start, nl - start));
+  }
+  EXPECT_EQ(start, text.size()) << "unterminated line in: " << text;
+  return lines;
+}
+
+int64_t CreateTrickleStream(int port, int width) {
+  JsonWriter post;
+  post.BeginObject()
+      .Key("algorithm").String("trickle")
+      .Key("csv").String(WideCsv(width))
+      .Key("stream").Bool(true)
+      .EndObject();
+  ClientResponse created = Fetch(port, "POST", "/v1/sessions", post.str());
+  EXPECT_EQ(created.status, 201) << created.body;
+  return SessionIdOf(created.body);
+}
+
+/// Polls the session until its channel has accepted `count` events.
+void WaitOdsStreamed(int port, int64_t id, int64_t count) {
+  for (int i = 0; i < 3000; ++i) {
+    ClientResponse info =
+        Fetch(port, "GET", "/v1/sessions/" + std::to_string(id));
+    auto parsed = ParseJson(info.body);
+    if (parsed.ok() && parsed->Find("ods_streamed") != nullptr &&
+        parsed->Find("ods_streamed")->int_value() == count) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  FAIL() << "session " << id << " never queued " << count << " events";
+}
+
+/// Opens /stream for `id` on a fresh connection and reads the header.
+std::unique_ptr<ResponseReader> OpenStream(int port, int64_t id) {
+  int fd = Connect(port);
+  EXPECT_GE(fd, 0);
+  auto reader = std::make_unique<ResponseReader>(fd);
+  EXPECT_TRUE(SendAll(
+      fd, RequestText("GET", "/v1/sessions/" + std::to_string(id) +
+                                 "/stream", "")));
+  ClientResponse header;
+  EXPECT_TRUE(reader->ReadHeader(&header));
+  EXPECT_EQ(header.status, 200);
+  EXPECT_EQ(header.headers["transfer-encoding"], "chunked");
+  return reader;
+}
+
+TEST(DiscoveryServerTest, StreamSendsEverythingQueuedAsOneChunk) {
+  constexpr int kCapacity = 8;
+  constexpr int kQueued = kCapacity;  // K <= capacity
+  constexpr int kSteps = 3 * kCapacity;
+  constexpr int kWidth = 6;
+  ServerFixture fixture(kSteps, kCapacity);
+  int64_t id = CreateTrickleStream(fixture.port(), kWidth);
+  // Step 0 emits unprompted and each release admits one more, so the
+  // engine parks on its gate with exactly K events queued.
+  fixture.gate().Release(kQueued - 1);
+  WaitOdsStreamed(fixture.port(), id, kQueued);
+
+  std::unique_ptr<ResponseReader> reader = OpenStream(fixture.port(), id);
+  std::string first = reader->NextChunk();
+  std::string expected;
+  for (int step = 0; step < kQueued; ++step) {
+    expected += TrickleLine(step, kWidth);
+  }
+  EXPECT_EQ(first, expected);
+
+  fixture.gate().Release(kSteps);
+  std::string rest;
+  for (std::string chunk = reader->NextChunk(); !chunk.empty();
+       chunk = reader->NextChunk()) {
+    rest += chunk;
+  }
+  std::vector<std::string> lines = SplitLines(rest);
+  ASSERT_EQ(lines.size(), static_cast<size_t>(kSteps - kQueued + 1));
+  for (int step = kQueued; step < kSteps; ++step) {
+    EXPECT_EQ(lines[step - kQueued] + "\n", TrickleLine(step, kWidth));
+  }
+  EXPECT_EQ(lines.back(),
+            "{\"type\": \"end\", \"state\": \"done\", \"streamed\": " +
+                std::to_string(kSteps) + "}");
+}
+
+TEST(DiscoveryServerTest, BatchedStreamDeliversEveryLineInEngineOrder) {
+  MetricsGuard guard;
+  obs::SetEnabled(true);
+  constexpr int kCapacity = 4;
+  constexpr int kSteps = 3000;  // far beyond the channel bound
+  constexpr int kWidth = 12;
+  ServerFixture fixture(kSteps, kCapacity);
+  obs::Counter* ods_total = obs::Registry::Global().GetCounter(
+      "fastod_http_stream_ods_total", "");
+  obs::Counter* bytes_total = obs::Registry::Global().GetCounter(
+      "fastod_http_stream_bytes_total", "");
+  const int64_t ods_before = ods_total->Value();
+  const int64_t bytes_before = bytes_total->Value();
+
+  fixture.gate().Release(kSteps);  // only backpressure paces the engine
+  int64_t id = CreateTrickleStream(fixture.port(), kWidth);
+  std::unique_ptr<ResponseReader> reader = OpenStream(fixture.port(), id);
+  std::string body;
+  for (std::string chunk = reader->NextChunk(); !chunk.empty();
+       chunk = reader->NextChunk()) {
+    body += chunk;
+  }
+
+  std::vector<std::string> lines = SplitLines(body);
+  ASSERT_EQ(lines.size(), static_cast<size_t>(kSteps + 1));
+  for (int step = 0; step < kSteps; ++step) {
+    ASSERT_EQ(lines[step] + "\n", TrickleLine(step, kWidth))
+        << "line " << step;
+  }
+  auto end = ParseJson(lines.back());
+  ASSERT_TRUE(end.ok()) << lines.back();
+  EXPECT_EQ(end->Find("type")->string_value(), "end");
+  EXPECT_EQ(end->Find("state")->string_value(), "done");
+  EXPECT_EQ(end->Find("streamed")->int_value(), kSteps);
+
+  // The end line is on the wire only after both counters advanced.
+  EXPECT_EQ(ods_total->Value() - ods_before, kSteps);
+  EXPECT_EQ(bytes_total->Value() - bytes_before,
+            static_cast<int64_t>(body.size()));
+
+  ClientResponse result = Fetch(
+      fixture.port(), "GET",
+      "/v1/sessions/" + std::to_string(id) + "/result");
+  ASSERT_EQ(result.status, 200) << result.body;
+  auto report = ParseJson(result.body);
+  ASSERT_TRUE(report.ok()) << result.body;
+  const std::vector<JsonValue>& reported =
+      report->Find("constancy_ods")->array_items();
+  ASSERT_EQ(reported.size(), static_cast<size_t>(kSteps));
+  for (int step = 0; step < kSteps; ++step) {
+    auto streamed = ParseJson(lines[step]);
+    ASSERT_TRUE(streamed.ok());
+    EXPECT_EQ(reported[step].Find("context")->Dump(),
+              streamed->Find("context")->Dump());
+    EXPECT_EQ(reported[step].Find("attribute")->string_value(),
+              streamed->Find("attribute")->string_value());
+  }
 }
 
 }  // namespace
