@@ -7,6 +7,7 @@
 
 #include "cli/cli.h"
 #include "data/csv.h"
+#include "test_util.h"
 
 namespace fastod {
 namespace {
@@ -462,6 +463,12 @@ TEST_F(CliTest, DiscoverStatsJsonEmbedsTrace) {
   EXPECT_NE(r.output.find("\"trace\":"), std::string::npos) << r.output;
   EXPECT_NE(r.output.find("\"csv.parse\""), std::string::npos);
   EXPECT_NE(r.output.find("\"nodes_visited\""), std::string::npos);
+  // The trace is the report's last member, right before the closing
+  // brace; without it the report is the plain JSON one.
+  EXPECT_NE(r.output.find("\n,\"trace\":{\"spans\":"), std::string::npos);
+  EXPECT_EQ(r.output.substr(r.output.size() - 3), "}}\n");
+  CliResult plain = RunCli({"discover", path_, "--output=json"});
+  EXPECT_EQ(MaskSeconds(StripTrace(r.output)), MaskSeconds(plain.output));
 
   CliResult bad = RunCli({"discover", path_, "--stats=maybe"});
   EXPECT_EQ(bad.exit_code, 1);

@@ -403,6 +403,12 @@ TEST(DiscoveryServerTest, InlineCsvSessionRoundTrip) {
   ASSERT_NE(body.find("\"constancy_ods\""), std::string::npos);
   EXPECT_EQ(body.substr(body.find("\"constancy_ods\"")),
             expected.substr(expected.find("\"constancy_ods\"")));
+  EXPECT_EQ(MaskSeconds(body), MaskSeconds(expected));
+  // The trace is the body's last member, right before the closing brace:
+  // clients cut the report at this exact text.
+  EXPECT_NE(result.body.find("\n,\"trace\":{\"spans\":"), std::string::npos)
+      << result.body;
+  EXPECT_EQ(result.body.substr(result.body.size() - 3), "}}\n");
 }
 
 TEST(DiscoveryServerTest, OptionsForwardToEngineAndRejectUnknown) {

@@ -28,6 +28,27 @@ inline std::string MaskSeconds(std::string json) {
   return json;
 }
 
+/// Masks the wall-clock " in 0.123s" figure of a text report's summary
+/// line, the text counterpart of MaskSeconds.
+inline std::string MaskTextSeconds(std::string text) {
+  size_t pos = 0;
+  const std::string key = " in ";
+  while ((pos = text.find(key, pos)) != std::string::npos) {
+    size_t start = pos + key.size();
+    size_t end = start;
+    while (end < text.size() &&
+           (std::isdigit(static_cast<unsigned char>(text[end])) != 0 ||
+            text[end] == '.')) {
+      ++end;
+    }
+    if (end > start && end < text.size() && text[end] == 's') {
+      text.replace(start, end - start, "X");
+    }
+    pos = start;
+  }
+  return text;
+}
+
 /// Removes the ,"trace": {...} object the server splices into /result
 /// bodies while metrics are enabled. Traces carry wall-clock spans and
 /// source-dependent cache counters (a dataset-bound session skips the
