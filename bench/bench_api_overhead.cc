@@ -157,9 +157,8 @@ class SleeperAlgorithm : public Algorithm {
  public:
   SleeperAlgorithm()
       : Algorithm("sleeper", "bench-only: blocks until cancelled") {}
-  std::string ResultText() const override { return "sleeper\n"; }
-  std::string ResultJson() const override {
-    return "{\"algorithm\": \"sleeper\"}\n";
+  Report BuildReport() const override {
+    return NewReport(ReportKind::kCanonical, execute_seconds(), false);
   }
 
  protected:

@@ -26,9 +26,9 @@
 #include "algo/fastod.h"
 #include "algo/order.h"
 #include "algo/tane.h"
+#include "common/json.h"
 #include "common/timer.h"
 #include "data/encode.h"
-#include "report/report.h"
 
 namespace fastod::bench {
 

@@ -81,4 +81,24 @@ Status Algorithm::Execute() {
   return status;
 }
 
+std::string Algorithm::ResultText() const {
+  return RenderText(BuildReport());
+}
+
+std::string Algorithm::ResultJson() const {
+  return RenderJson(BuildReport());
+}
+
+Report Algorithm::NewReport(ReportKind kind, double seconds,
+                            bool timed_out) const {
+  Report report;
+  report.kind = kind;
+  report.algorithm = name_;
+  report.rows = relation().NumRows();
+  report.schema = &relation().schema();
+  report.seconds = seconds;
+  report.timed_out = timed_out;
+  return report;
+}
+
 }  // namespace fastod

@@ -43,6 +43,7 @@
 #include "data/encode.h"
 #include "data/table.h"
 #include "obs/trace.h"
+#include "report/report.h"
 
 namespace fastod {
 
@@ -135,10 +136,15 @@ class Algorithm {
   void SetControl(ExecutionControl* control) { control_ = control; }
 
   // ---- Results ------------------------------------------------------
-  /// Human-readable result summary; valid after Execute().
-  virtual std::string ResultText() const = 0;
-  /// Machine-readable result in the stable JSON shape of report/report.h.
-  virtual std::string ResultJson() const = 0;
+  /// The last Execute()'s result as the one report model of
+  /// report/report.h; valid after Execute(). The only rendering hook an
+  /// engine implements.
+  virtual Report BuildReport() const = 0;
+  /// Human-readable result summary: RenderText(BuildReport()).
+  std::string ResultText() const;
+  /// Machine-readable result in the stable JSON shape of report/report.h:
+  /// RenderJson(BuildReport()).
+  std::string ResultJson() const;
 
   /// Engine search telemetry of the last Execute() (obs/trace.h): lattice
   /// nodes visited/pruned (per level for the level-wise engines),
@@ -156,6 +162,10 @@ class Algorithm {
 
   /// Engine invocation; data is loaded and the wall clock is running.
   virtual Status ExecuteInternal() = 0;
+
+  /// A report of `kind` carrying this algorithm's name and the bound
+  /// relation's rows and schema, for BuildReport() to fill in.
+  Report NewReport(ReportKind kind, double seconds, bool timed_out) const;
 
   const EncodedRelation& relation() const {
     return dataset_ != nullptr ? dataset_->relation() : *relation_;

@@ -1,22 +1,16 @@
 #include "api/engines.h"
 
-#include <cstdio>
 #include <limits>
 #include <utility>
 
 #include "api/od_sink.h"
 #include "api/registry.h"
 #include "incremental/incremental_engine.h"
-#include "common/timer.h"
 #include "report/report.h"
 
 namespace fastod {
 
 namespace {
-
-RelationInfo Info(const EncodedRelation& relation) {
-  return RelationInfo{relation.NumRows(), &relation.schema()};
-}
 
 constexpr double kNoLimit = std::numeric_limits<double>::max();
 
@@ -116,12 +110,17 @@ Status FastodAlgorithm::ExecuteInternal() {
   return Status::Ok();
 }
 
-std::string FastodAlgorithm::ResultText() const {
-  return FastodResultToText(result_, Info(relation()));
-}
-
-std::string FastodAlgorithm::ResultJson() const {
-  return FastodResultToJson(result_, Info(relation()));
+Report FastodAlgorithm::BuildReport() const {
+  Report report =
+      NewReport(ReportKind::kCanonical, result_.seconds, result_.timed_out);
+  report.constancy_ods = result_.constancy_ods;
+  report.compatibility_ods = result_.compatibility_ods;
+  report.bidirectional_ods = result_.bidirectional_ods;
+  // With emit-ods=false the lists are empty but the counts are not.
+  report.num_constancy = result_.num_constancy;
+  report.num_compatibility = result_.num_compatibility;
+  report.num_bidirectional = result_.num_bidirectional;
+  return report;
 }
 
 // -------------------------------------------------------- approximate
@@ -131,14 +130,6 @@ ApproximateAlgorithm::ApproximateAlgorithm()
                       "FASTOD under g3 threshold validity: accept ODs whose "
                       "removal error is at most --max-error",
                       ApproximateDefaults()) {}
-
-std::string ApproximateAlgorithm::ResultText() const {
-  return FastodResultToText(result_, Info(relation()), "APPROXIMATE");
-}
-
-std::string ApproximateAlgorithm::ResultJson() const {
-  return FastodResultToJson(result_, Info(relation()), "approximate");
-}
 
 // --------------------------------------------------------------- tane
 
@@ -178,12 +169,12 @@ Status TaneAlgorithm::ExecuteInternal() {
   return Status::Ok();
 }
 
-std::string TaneAlgorithm::ResultText() const {
-  return TaneResultToText(result_, Info(relation()));
-}
-
-std::string TaneAlgorithm::ResultJson() const {
-  return TaneResultToJson(result_, Info(relation()));
+Report TaneAlgorithm::BuildReport() const {
+  Report report =
+      NewReport(ReportKind::kFunctional, result_.seconds, result_.timed_out);
+  report.constancy_ods = result_.fds;
+  report.num_constancy = result_.num_fds;
+  return report;
 }
 
 // -------------------------------------------------------------- order
@@ -215,12 +206,11 @@ Status OrderAlgorithm::ExecuteInternal() {
   return Status::Ok();
 }
 
-std::string OrderAlgorithm::ResultText() const {
-  return OrderResultToText(result_, Info(relation()));
-}
-
-std::string OrderAlgorithm::ResultJson() const {
-  return OrderResultToJson(result_, Info(relation()));
+Report OrderAlgorithm::BuildReport() const {
+  Report report =
+      NewReport(ReportKind::kList, result_.seconds, result_.timed_out);
+  report.list_ods = result_.ods;
+  return report;
 }
 
 // -------------------------------------------------------- brute-force
@@ -241,10 +231,8 @@ Status BruteForceAlgorithm::ExecuteInternal() {
         "brute-force oracle supports at most 16 attributes, got " +
         std::to_string(relation().NumAttributes()));
   }
-  WallTimer timer;
   result_ = BruteForceDiscoverOds(relation(), max_error_, bidirectional_,
                                   prebuilt_singletons());
-  seconds_ = timer.ElapsedSeconds();
   mutable_stats().ods_emitted =
       static_cast<int64_t>(result_.constancy_ods.size() +
                            result_.compatibility_ods.size() +
@@ -264,28 +252,13 @@ Status BruteForceAlgorithm::ExecuteInternal() {
   return Status::Ok();
 }
 
-FastodResult BruteForceAlgorithm::AsFastodResult() const {
-  FastodResult shaped;
-  shaped.constancy_ods = result_.constancy_ods;
-  shaped.compatibility_ods = result_.compatibility_ods;
-  shaped.bidirectional_ods = result_.bidirectional_ods;
-  shaped.num_constancy = static_cast<int64_t>(result_.constancy_ods.size());
-  shaped.num_compatibility =
-      static_cast<int64_t>(result_.compatibility_ods.size());
-  shaped.num_bidirectional =
-      static_cast<int64_t>(result_.bidirectional_ods.size());
-  shaped.seconds = seconds_;
-  return shaped;
-}
-
-std::string BruteForceAlgorithm::ResultText() const {
-  return FastodResultToText(AsFastodResult(), Info(relation()),
-                            "BRUTE-FORCE");
-}
-
-std::string BruteForceAlgorithm::ResultJson() const {
-  return FastodResultToJson(AsFastodResult(), Info(relation()),
-                            "brute-force");
+Report BruteForceAlgorithm::BuildReport() const {
+  Report report = NewReport(ReportKind::kCanonical, execute_seconds(),
+                            /*timed_out=*/false);
+  report.constancy_ods = result_.constancy_ods;
+  report.compatibility_ods = result_.compatibility_ods;
+  report.bidirectional_ods = result_.bidirectional_ods;
+  return report;
 }
 
 // -------------------------------------------------------- conditional
@@ -308,13 +281,11 @@ ConditionalAlgorithm::ConditionalAlgorithm()
 }
 
 Status ConditionalAlgorithm::ExecuteInternal() {
-  WallTimer timer;
   ConditionalOdOptions run = opts_;
   run.max_condition_cardinality =
       static_cast<int32_t>(max_condition_cardinality_);
   ConditionalOdFinder finder(&relation(), prebuilt_singletons());
   result_ = finder.DiscoverConditional(run);
-  seconds_ = timer.ElapsedSeconds();
   mutable_stats().ods_emitted = static_cast<int64_t>(result_.size());
   if (sink() != nullptr) {
     for (const ConditionalOd& od : result_) sink()->OnConditional(od);
@@ -322,68 +293,22 @@ Status ConditionalAlgorithm::ExecuteInternal() {
   return Status::Ok();
 }
 
-std::string ConditionalAlgorithm::BindingValue(int attr,
-                                               int32_t rank) const {
-  // The interned dictionary entry for this code *is* the original value
-  // (FromTable interns the first-occurrence representative).
-  const ValueDictionary& dict = relation().dictionary(attr);
-  if (rank >= 0 && rank < dict.size()) return dict.ToString(rank);
-  return "#" + std::to_string(rank);
-}
-
-std::string ConditionalAlgorithm::ResultText() const {
-  const Schema& schema = relation().schema();
-  std::string out = std::to_string(result_.size()) +
-                    " conditional OD(s) at support >= " +
-                    std::to_string(opts_.min_support) + "\n";
+Report ConditionalAlgorithm::BuildReport() const {
+  Report report = NewReport(ReportKind::kConditional, execute_seconds(),
+                            /*timed_out=*/false);
+  report.min_support = opts_.min_support;
   for (const ConditionalOd& c : result_) {
-    std::string line = "  (";
-    line += schema.name(c.condition_attribute);
-    line += " in {";
-    for (size_t i = 0; i < c.binding_ranks.size(); ++i) {
-      if (i > 0) line += ",";
-      line += BindingValue(c.condition_attribute, c.binding_ranks[i]);
+    // A binding's interned dictionary entry *is* the original value.
+    const ValueDictionary& dict = relation().dictionary(c.condition_attribute);
+    ReportConditionalOd entry{c.condition_attribute, {}, c.od, c.support};
+    for (int32_t rank : c.binding_ranks) {
+      entry.bindings.push_back(rank >= 0 && rank < dict.size()
+                                   ? dict.ToString(rank)
+                                   : "#" + std::to_string(rank));
     }
-    char support_buf[32];
-    std::snprintf(support_buf, sizeof(support_buf), "%.0f%%",
-                  c.support * 100.0);
-    line += "}) => ";
-    line += CanonicalOdToString(c.od, schema);
-    line += "  [support ";
-    line += support_buf;
-    line += "]\n";
-    out += line;
+    report.conditional_ods.push_back(std::move(entry));
   }
-  return out;
-}
-
-std::string ConditionalAlgorithm::ResultJson() const {
-  const Schema& schema = relation().schema();
-  std::string out = ReportHeaderJson("conditional", Info(relation()),
-                                     seconds_, /*timed_out=*/false);
-  out += "  \"conditional_ods\": [\n";
-  for (size_t i = 0; i < result_.size(); ++i) {
-    const ConditionalOd& c = result_[i];
-    char support_buf[32];
-    std::snprintf(support_buf, sizeof(support_buf), "%.6f", c.support);
-    out += "    {\"condition\": \"" +
-           JsonEscape(schema.name(c.condition_attribute)) +
-           "\", \"bindings\": [";
-    for (size_t j = 0; j < c.binding_ranks.size(); ++j) {
-      if (j > 0) out += ",";
-      out += '"';
-      out += JsonEscape(
-          BindingValue(c.condition_attribute, c.binding_ranks[j]));
-      out += '"';
-    }
-    out += "], \"od\": \"" +
-           JsonEscape(CanonicalOdToString(c.od, schema)) +
-           "\", \"support\": " + support_buf + "}";
-    if (i + 1 < result_.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
+  return report;
 }
 
 // ----------------------------------------------------------- registry

@@ -4,7 +4,8 @@
 // Each adapter is a thin shim: it registers typed options that write
 // straight into the engine's native options struct, forwards the attached
 // OdSink / ExecutionControl, runs the legacy entry point in
-// ExecuteInternal(), and renders through report/report.h. The engines'
+// ExecuteInternal(), and copies its result into a Report
+// (report/report.h) in BuildReport(). The engines'
 // direct APIs (Fastod::Discover etc.) remain available and authoritative;
 // tests/api_test.cc pins the adapters to them bit-for-bit.
 //
@@ -45,8 +46,7 @@ class FastodAlgorithm : public Algorithm {
   const FastodOptions& discovery_options() const { return opts_; }
   const FastodResult& result() const { return result_; }
 
-  std::string ResultText() const override;
-  std::string ResultJson() const override;
+  Report BuildReport() const override;
 
  protected:
   /// `defaults` seeds the option registry, so subclasses (approximate)
@@ -68,9 +68,6 @@ class FastodAlgorithm : public Algorithm {
 class ApproximateAlgorithm : public FastodAlgorithm {
  public:
   ApproximateAlgorithm();
-
-  std::string ResultText() const override;
-  std::string ResultJson() const override;
 };
 
 class TaneAlgorithm : public Algorithm {
@@ -79,8 +76,7 @@ class TaneAlgorithm : public Algorithm {
 
   const TaneResult& result() const { return result_; }
 
-  std::string ResultText() const override;
-  std::string ResultJson() const override;
+  Report BuildReport() const override;
 
  protected:
   Status ExecuteInternal() override;
@@ -96,8 +92,7 @@ class OrderAlgorithm : public Algorithm {
 
   const OrderResult& result() const { return result_; }
 
-  std::string ResultText() const override;
-  std::string ResultJson() const override;
+  Report BuildReport() const override;
 
  protected:
   Status ExecuteInternal() override;
@@ -114,20 +109,15 @@ class BruteForceAlgorithm : public Algorithm {
 
   const BruteForceDiscoveryResult& result() const { return result_; }
 
-  std::string ResultText() const override;
-  std::string ResultJson() const override;
+  Report BuildReport() const override;
 
  protected:
   Status ExecuteInternal() override;
 
  private:
-  /// The oracle result reshaped for the shared FASTOD renderers.
-  FastodResult AsFastodResult() const;
-
   double max_error_ = 0.0;
   bool bidirectional_ = false;
   BruteForceDiscoveryResult result_;
-  double seconds_ = 0.0;
 };
 
 class ConditionalAlgorithm : public Algorithm {
@@ -136,23 +126,17 @@ class ConditionalAlgorithm : public Algorithm {
 
   const std::vector<ConditionalOd>& result() const { return result_; }
 
-  std::string ResultText() const override;
-  std::string ResultJson() const override;
+  Report BuildReport() const override;
 
  protected:
   Status ExecuteInternal() override;
 
  private:
-  /// Renders a binding rank as the original cell value when the raw table
-  /// is available (LoadData(Table)), "#rank" otherwise.
-  std::string BindingValue(int attr, int32_t rank) const;
-
   ConditionalOdOptions opts_;
   /// Staging for the int32_t ConditionalOdOptions field; narrowed at
   /// Execute time.
   int64_t max_condition_cardinality_;
   std::vector<ConditionalOd> result_;
-  double seconds_ = 0.0;
 };
 
 }  // namespace fastod

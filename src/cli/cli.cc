@@ -14,6 +14,7 @@
 #include "api/algorithm.h"
 #include "api/registry.h"
 #include "common/flags.h"
+#include "common/json.h"
 #include "common/string_util.h"
 #include "data/csv.h"
 #include "data/dataset_store.h"
@@ -296,9 +297,6 @@ CliResult Discover(const std::vector<std::string>& args) {
   }
   start = trace.Now();
   if (Status s = (*algo)->Execute(); !s.ok()) return Fail(s);
-  CliResult result;
-  result.output =
-      output == "json" ? (*algo)->ResultJson() : (*algo)->ResultText();
   if (stats) {
     trace.RecordSpan("execute", start, trace.Now() - start);
     double cursor = start;
@@ -308,14 +306,14 @@ CliResult Discover(const std::vector<std::string>& args) {
       cursor += level.seconds;
     }
     trace.SetEngineStats((*algo)->stats());
-    if (output == "json") {
-      size_t brace = result.output.rfind('}');
-      if (brace != std::string::npos) {
-        result.output.insert(brace, ",\"trace\":" + trace.ToJson());
-      }
-    } else {
-      result.output += RenderStatsText((*algo)->stats());
-    }
+  }
+  CliResult result;
+  if (output == "json") {
+    result.output =
+        RenderJson((*algo)->BuildReport(), stats ? &trace : nullptr);
+  } else {
+    result.output = (*algo)->ResultText();
+    if (stats) result.output += RenderStatsText((*algo)->stats());
   }
   return result;
 }

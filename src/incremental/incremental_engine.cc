@@ -1,12 +1,11 @@
 #include "incremental/incremental_engine.h"
 
 #include <limits>
+#include <set>
 #include <utility>
 
 #include "common/json.h"
-#include "common/timer.h"
 #include "obs/metrics.h"
-#include "report/report.h"
 
 namespace fastod {
 
@@ -43,6 +42,24 @@ Result<int> ParseAttr(const JsonValue& od, const char* key,
   return schema.IndexOf(name->string_value());
 }
 
+// Appends `od` to `ods`, refusing trivial and repeated ODs: FASTOD
+// reports neither, and the engine would echo them back as survivors.
+template <typename Od>
+Status AddPriorOd(const Od& od, const Schema& schema, std::set<Od>* seen,
+                  std::vector<Od>* ods) {
+  if (od.IsTrivial()) {
+    return Status::InvalidArgument("prior OD " + od.ToString(schema) +
+                                   " is trivial; a minimal OD set never "
+                                   "contains one");
+  }
+  if (!seen->insert(od).second) {
+    return Status::InvalidArgument("prior OD " + od.ToString(schema) +
+                                   " is listed twice");
+  }
+  ods->push_back(od);
+  return Status::Ok();
+}
+
 }  // namespace
 
 Result<PriorOds> ParsePriorReport(const std::string& json,
@@ -69,6 +86,8 @@ Result<PriorOds> ParsePriorReport(const std::string& json,
         "\"compatibility_ods\"; pass a fastod-shaped result report");
   }
   PriorOds prior;
+  std::set<ConstancyOd> seen_constancy;
+  std::set<CompatibilityOd> seen_compatibility;
   if (constancy != nullptr) {
     if (!constancy->is_array()) {
       return Status::InvalidArgument("\"constancy_ods\" must be an array");
@@ -78,7 +97,9 @@ Result<PriorOds> ParsePriorReport(const std::string& json,
       if (!context.ok()) return context.status();
       Result<int> attribute = ParseAttr(od, "attribute", schema);
       if (!attribute.ok()) return attribute.status();
-      prior.constancy.push_back(ConstancyOd{*context, *attribute});
+      Status added = AddPriorOd(ConstancyOd{*context, *attribute}, schema,
+                                &seen_constancy, &prior.constancy);
+      if (!added.ok()) return added;
     }
   }
   if (compatibility != nullptr) {
@@ -93,7 +114,9 @@ Result<PriorOds> ParsePriorReport(const std::string& json,
       if (!a.ok()) return a.status();
       Result<int> b = ParseAttr(od, "b", schema);
       if (!b.ok()) return b.status();
-      prior.compatibility.push_back(CompatibilityOd(*context, *a, *b));
+      Status added = AddPriorOd(CompatibilityOd(*context, *a, *b), schema,
+                                &seen_compatibility, &prior.compatibility);
+      if (!added.ok()) return added;
     }
   }
   return prior;
@@ -136,14 +159,12 @@ Status IncrementalAlgorithm::ExecuteInternal() {
   }
   resolved_base_rows_ = base_rows;
 
-  WallTimer timer;
   IncrementalOptions run;
   run.base_rows = base_rows;
   run.singletons = prebuilt_singletons();
   run.sink = sink();
   run.control = control();
   result_ = IncrementalDiscovery(&relation(), run).Run(*prior);
-  seconds_ = timer.ElapsedSeconds();
 
   if (obs::Enabled()) {
     obs::Registry::Global()
@@ -166,15 +187,21 @@ Status IncrementalAlgorithm::ExecuteInternal() {
   return Status::Ok();
 }
 
-std::string IncrementalAlgorithm::ResultText() const {
-  RelationInfo info{relation().NumRows(), &relation().schema()};
-  return IncrementalResultToText(result_, info, seconds_);
-}
-
-std::string IncrementalAlgorithm::ResultJson() const {
-  RelationInfo info{relation().NumRows(), &relation().schema()};
-  return IncrementalResultToJson(result_, info, seconds_,
-                                 resolved_base_rows_);
+Report IncrementalAlgorithm::BuildReport() const {
+  Report report = NewReport(ReportKind::kCanonical, execute_seconds(),
+                            /*timed_out=*/false);
+  report.constancy_ods = result_.constancy_ods;
+  report.compatibility_ods = result_.compatibility_ods;
+  IncrementalSection& section = report.incremental.emplace();
+  section.base_rows = resolved_base_rows_;
+  section.revoked_constancy = result_.revoked_constancy;
+  section.revoked_compatibility = result_.revoked_compatibility;
+  section.revalidated = result_.revalidated;
+  section.new_ods = result_.new_constancy + result_.new_compatibility;
+  section.escalations = result_.escalations;
+  section.nodes_searched = result_.nodes_searched;
+  section.cancelled = result_.cancelled;
+  return report;
 }
 
 }  // namespace fastod

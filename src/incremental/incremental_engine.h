@@ -35,7 +35,9 @@ namespace fastod {
 /// Parses a report-shaped prior result ({"constancy_ods": [...],
 /// "compatibility_ods": [...]}) against `schema`. Rejects reports with
 /// bidirectional or list-shaped dependencies (the incremental engine
-/// covers the two canonical shapes) and unknown attribute names.
+/// covers the two canonical shapes), unknown attribute names, and
+/// trivial or repeated ODs (no minimal OD set holds one); the error
+/// names the offending OD.
 Result<PriorOds> ParsePriorReport(const std::string& json,
                                   const Schema& schema);
 
@@ -46,8 +48,7 @@ class IncrementalAlgorithm : public Algorithm {
   const IncrementalResult& result() const { return result_; }
   int64_t base_rows() const { return resolved_base_rows_; }
 
-  std::string ResultText() const override;
-  std::string ResultJson() const override;
+  Report BuildReport() const override;
 
  protected:
   Status ExecuteInternal() override;
@@ -57,7 +58,6 @@ class IncrementalAlgorithm : public Algorithm {
   int64_t base_rows_option_ = -1;
   int64_t resolved_base_rows_ = 0;
   IncrementalResult result_;
-  double seconds_ = 0.0;
 };
 
 }  // namespace fastod

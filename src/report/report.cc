@@ -1,289 +1,240 @@
 #include "report/report.h"
 
+#include <cctype>
 #include <cstdio>
+#include <functional>
+#include <numeric>
 
+#include "common/json.h"
 #include "common/macros.h"
+#include "obs/trace.h"
 
 namespace fastod {
 
 namespace {
 
-std::string AttrName(const RelationInfo& info, int attr) {
-  FASTOD_CHECK(info.schema != nullptr);
-  return info.schema->name(attr);
+// `value` through a printf format with one floating-point conversion.
+std::string Printf(const char* format, double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), format, value);
+  return buf;
 }
 
-std::string ContextJson(const RelationInfo& info, AttributeSet context) {
-  std::string out = "[";
+std::string Quoted(const std::string& s) { return '"' + JsonEscape(s) + '"'; }
+
+// ["x","y"]: one string per item, no spaces.
+template <typename Range, typename ToString>
+void AppendStringArray(std::string& out, const Range& items,
+                       ToString to_string) {
+  out += '[';
   bool first = true;
-  for (int a = context.First(); a >= 0; a = context.Next(a)) {
-    if (!first) out += ",";
+  for (const auto& item : items) {
+    if (!first) out += ',';
     first = false;
-    out += '"';
-    out += JsonEscape(AttrName(info, a));
-    out += '"';
+    out += Quoted(to_string(item));
   }
-  out += "]";
-  return out;
+  out += ']';
 }
 
-std::string HeaderJson(const char* algorithm, const RelationInfo& info,
-                       double seconds, bool timed_out) {
+// A top-level array member, one object per line:
+//   ,\n  "key": [\n    {fields},\n    {fields}\n  ]
+template <typename T, typename Fields>
+void AppendObjectArray(std::string& out, const char* key,
+                       const std::vector<T>& items, Fields fields) {
+  out += ",\n  \"";
+  out += key;
+  out += "\": [\n";
+  for (size_t i = 0; i < items.size(); ++i) {
+    out += "    {";
+    fields(items[i]);
+    out += i + 1 < items.size() ? "},\n" : "}\n";
+  }
+  out += "  ]";
+}
+
+// The count a report states: `num` when the run counted more than it
+// listed, else the list's size.
+template <typename Od>
+int64_t Found(int64_t num, const std::vector<Od>& listed) {
+  return num > 0 ? num : static_cast<int64_t>(listed.size());
+}
+
+template <typename Od>
+void AppendLines(std::string& out, const char* prefix,
+                 const std::vector<Od>& ods, const Schema& schema) {
+  for (const Od& od : ods) {
+    out += prefix;
+    out += od.ToString(schema);
+    out += '\n';
+  }
+}
+
+}  // namespace
+
+std::string RenderJson(const Report& report,
+                       const obs::TraceRecorder* trace) {
+  FASTOD_CHECK(report.schema != nullptr);
+  const Schema& schema = *report.schema;
+  auto name = [&](int attr) -> const std::string& {
+    return schema.name(attr);
+  };
   std::string out = "{\n  \"algorithm\": \"";
-  out += algorithm;
-  out += "\",\n  \"relation\": {\"rows\": " + std::to_string(info.rows) +
-         ", \"attributes\": [";
-  for (int i = 0; i < info.schema->NumAttributes(); ++i) {
-    if (i > 0) out += ",";
-    out += '"';
-    out += JsonEscape(info.schema->name(i));
-    out += '"';
+  out += report.algorithm;
+  out += "\",\n  \"relation\": {\"rows\": " + std::to_string(report.rows) +
+         ", \"attributes\": ";
+  std::vector<int> attributes(schema.NumAttributes());
+  std::iota(attributes.begin(), attributes.end(), 0);
+  AppendStringArray(out, attributes, name);
+  out += "},\n  \"stats\": {\"seconds\": " + Printf("%.6f", report.seconds) +
+         ", \"timed_out\": " + (report.timed_out ? "true" : "false") + "}";
+
+  auto context = [&](AttributeSet set) {
+    out += "\"context\": ";
+    AppendStringArray(out, Members(set), name);
+  };
+  auto constancy = [&](const ConstancyOd& od) {
+    context(od.context);
+    out += ", \"attribute\": " + Quoted(name(od.attribute));
+  };
+  auto compatibility = [&](const auto& od) {
+    context(od.context);
+    out += ", \"a\": " + Quoted(name(od.a)) + ", \"b\": " + Quoted(name(od.b));
+  };
+  switch (report.kind) {
+    case ReportKind::kCanonical:
+      AppendObjectArray(out, "constancy_ods", report.constancy_ods,
+                        constancy);
+      AppendObjectArray(out, "compatibility_ods", report.compatibility_ods,
+                        compatibility);
+      AppendObjectArray(out, "bidirectional_ods", report.bidirectional_ods,
+                        [&](const BidiCompatibilityOd& od) {
+                          compatibility(od);
+                          out += ", \"polarity\": \"opposite\"";
+                        });
+      break;
+    case ReportKind::kFunctional:
+      AppendObjectArray(out, "fds", report.constancy_ods,
+                        [&](const ConstancyOd& fd) {
+                          out += "\"lhs\": ";
+                          AppendStringArray(out, Members(fd.context), name);
+                          out += ", \"rhs\": " + Quoted(name(fd.attribute));
+                        });
+      break;
+    case ReportKind::kList:
+      AppendObjectArray(out, "ods", report.list_ods, [&](const ListOd& od) {
+        out += "\"lhs\": ";
+        AppendStringArray(out, od.lhs, name);
+        out += ", \"rhs\": ";
+        AppendStringArray(out, od.rhs, name);
+      });
+      break;
+    case ReportKind::kConditional:
+      AppendObjectArray(
+          out, "conditional_ods", report.conditional_ods,
+          [&](const ReportConditionalOd& c) {
+            out += "\"condition\": " + Quoted(name(c.condition_attribute)) +
+                   ", \"bindings\": ";
+            AppendStringArray(out, c.bindings, std::identity());
+            out += ", \"od\": " + Quoted(CanonicalOdToString(c.od, schema)) +
+                   ", \"support\": " + Printf("%.6f", c.support);
+          });
+      break;
   }
-  char seconds_buf[32];
-  std::snprintf(seconds_buf, sizeof(seconds_buf), "%.6f", seconds);
-  out += "]},\n  \"stats\": {\"seconds\": ";
-  out += seconds_buf;
-  out += ", \"timed_out\": ";
-  out += timed_out ? "true" : "false";
-  out += "},\n";
+  if (report.incremental) {
+    const IncrementalSection& inc = *report.incremental;
+    AppendObjectArray(out, "revoked_constancy_ods", inc.revoked_constancy,
+                      constancy);
+    AppendObjectArray(out, "revoked_compatibility_ods",
+                      inc.revoked_compatibility, compatibility);
+    using std::to_string;
+    out += ",\n  \"incremental\": {\"base_rows\": " + to_string(inc.base_rows) +
+           ", \"delta_rows\": " + to_string(report.rows - inc.base_rows) +
+           ", \"revalidated\": " + to_string(inc.revalidated) +
+           ", \"revoked\": " +
+           to_string(inc.revoked_constancy.size() +
+                     inc.revoked_compatibility.size()) +
+           ", \"new_ods\": " + to_string(inc.new_ods) +
+           ", \"escalations\": " + to_string(inc.escalations) +
+           ", \"nodes_searched\": " + to_string(inc.nodes_searched) +
+           ", \"cancelled\": " + (inc.cancelled ? "true" : "false") + "}";
+  }
+  out += '\n';
+  if (trace != nullptr) {
+    out += ",\"trace\":";
+    out += trace->ToJson();
+  }
+  out += "}\n";
   return out;
 }
 
-}  // namespace
-
-std::string ReportHeaderJson(const std::string& algorithm,
-                             const RelationInfo& info, double seconds,
-                             bool timed_out) {
-  return HeaderJson(algorithm.c_str(), info, seconds, timed_out);
-}
-
-std::string FastodResultToJson(const FastodResult& result,
-                               const RelationInfo& info,
-                               const std::string& algorithm) {
-  std::string out =
-      HeaderJson(algorithm.c_str(), info, result.seconds, result.timed_out);
-  out += "  \"constancy_ods\": [\n";
-  for (size_t i = 0; i < result.constancy_ods.size(); ++i) {
-    const ConstancyOd& od = result.constancy_ods[i];
-    out += "    {\"context\": " + ContextJson(info, od.context) +
-           ", \"attribute\": \"" + JsonEscape(AttrName(info, od.attribute)) +
-           "\"}";
-    if (i + 1 < result.constancy_ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ],\n  \"compatibility_ods\": [\n";
-  for (size_t i = 0; i < result.compatibility_ods.size(); ++i) {
-    const CompatibilityOd& od = result.compatibility_ods[i];
-    out += "    {\"context\": " + ContextJson(info, od.context) +
-           ", \"a\": \"" + JsonEscape(AttrName(info, od.a)) + "\", \"b\": \"" +
-           JsonEscape(AttrName(info, od.b)) + "\"}";
-    if (i + 1 < result.compatibility_ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ],\n  \"bidirectional_ods\": [\n";
-  for (size_t i = 0; i < result.bidirectional_ods.size(); ++i) {
-    const BidiCompatibilityOd& od = result.bidirectional_ods[i];
-    out += "    {\"context\": " + ContextJson(info, od.context) +
-           ", \"a\": \"" + JsonEscape(AttrName(info, od.a)) + "\", \"b\": \"" +
-           JsonEscape(AttrName(info, od.b)) +
-           "\", \"polarity\": \"opposite\"}";
-    if (i + 1 < result.bidirectional_ods.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-std::string FastodResultToText(const FastodResult& result,
-                               const RelationInfo& info,
-                               const std::string& label) {
-  char buf[192];
-  std::snprintf(buf, sizeof(buf),
-                "%s: %lld ODs (%lld constancy + %lld compatibility + "
-                "%lld bidirectional) in %.3fs%s\n", label.c_str(),
-                static_cast<long long>(result.NumOds()),
-                static_cast<long long>(result.num_constancy),
-                static_cast<long long>(result.num_compatibility),
-                static_cast<long long>(result.num_bidirectional),
-                result.seconds, result.timed_out ? " [TIMED OUT]" : "");
-  std::string out = buf;
-  for (const ConstancyOd& od : result.constancy_ods) {
-    out += "  " + od.ToString(*info.schema) + "\n";
-  }
-  for (const CompatibilityOd& od : result.compatibility_ods) {
-    out += "  " + od.ToString(*info.schema) + "\n";
-  }
-  for (const BidiCompatibilityOd& od : result.bidirectional_ods) {
-    out += "  " + od.ToString(*info.schema) + "\n";
-  }
-  return out;
-}
-
-std::string TaneResultToJson(const TaneResult& result,
-                             const RelationInfo& info) {
-  std::string out = HeaderJson("tane", info, result.seconds,
-                               result.timed_out);
-  out += "  \"fds\": [\n";
-  for (size_t i = 0; i < result.fds.size(); ++i) {
-    const ConstancyOd& od = result.fds[i];
-    out += "    {\"lhs\": " + ContextJson(info, od.context) +
-           ", \"rhs\": \"" + JsonEscape(AttrName(info, od.attribute)) +
-           "\"}";
-    if (i + 1 < result.fds.size()) out += ",";
-    out += "\n";
-  }
-  out += "  ]\n}\n";
-  return out;
-}
-
-std::string TaneResultToText(const TaneResult& result,
-                             const RelationInfo& info) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "TANE: %lld minimal FDs in %.3fs%s\n",
-                static_cast<long long>(result.num_fds), result.seconds,
-                result.timed_out ? " [TIMED OUT]" : "");
-  std::string out = buf;
-  for (const ConstancyOd& od : result.fds) {
-    out += "  " + od.context.ToString(*info.schema) + " -> " +
-           AttrName(info, od.attribute) + "\n";
-  }
-  return out;
-}
-
-std::string OrderResultToJson(const OrderResult& result,
-                              const RelationInfo& info) {
-  std::string out = HeaderJson("order", info, result.seconds,
-                               result.timed_out);
-  out += "  \"ods\": [\n";
-  for (size_t i = 0; i < result.ods.size(); ++i) {
-    const ListOd& od = result.ods[i];
-    auto spec_json = [&](const OrderSpec& spec) {
-      std::string s = "[";
-      for (size_t j = 0; j < spec.size(); ++j) {
-        if (j > 0) s += ",";
-        s += '"';
-        s += JsonEscape(AttrName(info, spec[j]));
-        s += '"';
+std::string RenderText(const Report& report) {
+  FASTOD_CHECK(report.schema != nullptr);
+  const Schema& schema = *report.schema;
+  using std::to_string;
+  std::string out;
+  if (report.kind == ReportKind::kConditional) {
+    out = to_string(report.conditional_ods.size()) +
+          " conditional OD(s) at support >= " +
+          to_string(report.min_support) + "\n";
+    for (const ReportConditionalOd& c : report.conditional_ods) {
+      out += "  (" + schema.name(c.condition_attribute) + " in {";
+      for (size_t i = 0; i < c.bindings.size(); ++i) {
+        out += (i > 0 ? "," : "") + c.bindings[i];
       }
-      s += "]";
-      return s;
-    };
-    out += "    {\"lhs\": " + spec_json(od.lhs) +
-           ", \"rhs\": " + spec_json(od.rhs) + "}";
-    if (i + 1 < result.ods.size()) out += ",";
-    out += "\n";
+      out += "}) => " + CanonicalOdToString(c.od, schema) +
+             "  [support " + Printf("%.0f", c.support * 100.0) + "%]\n";
+    }
+    return out;
   }
-  out += "  ]\n}\n";
-  return out;
-}
 
-std::string OrderResultToText(const OrderResult& result,
-                              const RelationInfo& info) {
-  char buf[96];
-  std::snprintf(buf, sizeof(buf), "ORDER: %lld list ODs in %.3fs%s\n",
-                static_cast<long long>(result.ods.size()), result.seconds,
-                result.timed_out ? " [TIMED OUT]" : "");
-  std::string out = buf;
-  for (const ListOd& od : result.ods) {
-    out += "  " + od.ToString(*info.schema) + "\n";
+  const IncrementalSection* inc =
+      report.incremental ? &*report.incremental : nullptr;
+  const int64_t constancy = Found(report.num_constancy, report.constancy_ods);
+  const int64_t compatibility =
+      Found(report.num_compatibility, report.compatibility_ods);
+  const int64_t bidirectional =
+      Found(report.num_bidirectional, report.bidirectional_ods);
+  const int64_t total = constancy + compatibility + bidirectional;
+  for (char c : report.algorithm) {
+    out += static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
   }
-  return out;
-}
-
-namespace {
-
-std::string ConstancyArrayJson(const RelationInfo& info,
-                               const std::vector<ConstancyOd>& ods) {
-  std::string out = "[\n";
-  for (size_t i = 0; i < ods.size(); ++i) {
-    out += "    {\"context\": " + ContextJson(info, ods[i].context) +
-           ", \"attribute\": \"" +
-           JsonEscape(AttrName(info, ods[i].attribute)) + "\"}";
-    if (i + 1 < ods.size()) out += ",";
-    out += "\n";
+  out += ": ";
+  if (report.kind == ReportKind::kFunctional) {
+    out += to_string(constancy) + " minimal FDs";
+  } else if (report.kind == ReportKind::kList) {
+    out += to_string(report.list_ods.size()) + " list ODs";
+  } else if (inc != nullptr) {
+    out += to_string(total) + " ODs (" + to_string(total - inc->new_ods) +
+           " surviving + " + to_string(inc->new_ods) + " new), " +
+           to_string(inc->revoked_constancy.size() +
+                     inc->revoked_compatibility.size()) +
+           " revoked, " + to_string(inc->nodes_searched) +
+           " lattice nodes re-searched";
+  } else {
+    out += to_string(total) + " ODs (" + to_string(constancy) +
+           " constancy + " + to_string(compatibility) + " compatibility + " +
+           to_string(bidirectional) + " bidirectional)";
   }
-  out += "  ]";
-  return out;
-}
-
-std::string CompatibilityArrayJson(const RelationInfo& info,
-                                   const std::vector<CompatibilityOd>& ods) {
-  std::string out = "[\n";
-  for (size_t i = 0; i < ods.size(); ++i) {
-    out += "    {\"context\": " + ContextJson(info, ods[i].context) +
-           ", \"a\": \"" + JsonEscape(AttrName(info, ods[i].a)) +
-           "\", \"b\": \"" + JsonEscape(AttrName(info, ods[i].b)) + "\"}";
-    if (i + 1 < ods.size()) out += ",";
-    out += "\n";
+  out += " in " + Printf("%.3f", report.seconds) + "s" +
+         (inc != nullptr && inc->cancelled ? " [CANCELLED]"
+          : report.timed_out               ? " [TIMED OUT]"
+                                           : "") +
+         "\n";
+  if (inc != nullptr) {
+    AppendLines(out, "  revoked ", inc->revoked_constancy, schema);
+    AppendLines(out, "  revoked ", inc->revoked_compatibility, schema);
   }
-  out += "  ]";
-  return out;
-}
-
-}  // namespace
-
-std::string IncrementalResultToJson(const IncrementalResult& result,
-                                    const RelationInfo& info, double seconds,
-                                    int64_t base_rows) {
-  std::string out = HeaderJson("incremental", info, seconds, false);
-  out += "  \"constancy_ods\": " +
-         ConstancyArrayJson(info, result.constancy_ods);
-  out += ",\n  \"compatibility_ods\": " +
-         CompatibilityArrayJson(info, result.compatibility_ods);
-  out += ",\n  \"bidirectional_ods\": [\n  ]";
-  out += ",\n  \"revoked_constancy_ods\": " +
-         ConstancyArrayJson(info, result.revoked_constancy);
-  out += ",\n  \"revoked_compatibility_ods\": " +
-         CompatibilityArrayJson(info, result.revoked_compatibility);
-  out += ",\n  \"incremental\": {\"base_rows\": " +
-         std::to_string(base_rows) +
-         ", \"delta_rows\": " + std::to_string(info.rows - base_rows) +
-         ", \"revalidated\": " + std::to_string(result.revalidated) +
-         ", \"revoked\": " +
-         std::to_string(result.revoked_constancy.size() +
-                        result.revoked_compatibility.size()) +
-         ", \"new_ods\": " +
-         std::to_string(result.new_constancy + result.new_compatibility) +
-         ", \"escalations\": " + std::to_string(result.escalations) +
-         ", \"nodes_searched\": " + std::to_string(result.nodes_searched) +
-         ", \"cancelled\": " + (result.cancelled ? "true" : "false") + "}";
-  out += "\n}\n";
-  return out;
-}
-
-std::string IncrementalResultToText(const IncrementalResult& result,
-                                    const RelationInfo& info,
-                                    double seconds) {
-  char buf[224];
-  std::snprintf(
-      buf, sizeof(buf),
-      "INCREMENTAL: %lld ODs (%lld surviving + %lld new), %lld revoked, "
-      "%lld lattice nodes re-searched in %.3fs%s\n",
-      static_cast<long long>(result.constancy_ods.size() +
-                             result.compatibility_ods.size()),
-      static_cast<long long>(result.constancy_ods.size() +
-                             result.compatibility_ods.size() -
-                             result.new_constancy -
-                             result.new_compatibility),
-      static_cast<long long>(result.new_constancy +
-                             result.new_compatibility),
-      static_cast<long long>(result.revoked_constancy.size() +
-                             result.revoked_compatibility.size()),
-      static_cast<long long>(result.nodes_searched), seconds,
-      result.cancelled ? " [CANCELLED]" : "");
-  std::string out = buf;
-  for (const ConstancyOd& od : result.revoked_constancy) {
-    out += "  revoked " + od.ToString(*info.schema) + "\n";
+  if (report.kind == ReportKind::kFunctional) {
+    for (const ConstancyOd& fd : report.constancy_ods) {
+      out += "  " + fd.context.ToString(schema) + " -> " +
+             schema.name(fd.attribute) + "\n";
+    }
+  } else {
+    AppendLines(out, "  ", report.constancy_ods, schema);
   }
-  for (const CompatibilityOd& od : result.revoked_compatibility) {
-    out += "  revoked " + od.ToString(*info.schema) + "\n";
-  }
-  for (const ConstancyOd& od : result.constancy_ods) {
-    out += "  " + od.ToString(*info.schema) + "\n";
-  }
-  for (const CompatibilityOd& od : result.compatibility_ods) {
-    out += "  " + od.ToString(*info.schema) + "\n";
-  }
+  AppendLines(out, "  ", report.compatibility_ods, schema);
+  AppendLines(out, "  ", report.bidirectional_ods, schema);
+  AppendLines(out, "  ", report.list_ods, schema);
   return out;
 }
 

@@ -1114,7 +1114,12 @@ void DiscoveryServer::HandleCancel(SessionId id, bool purge,
 
 void DiscoveryServer::HandleResult(SessionId id,
                                    HttpResponseWriter& writer) {
-  Result<std::string> json = service_.ResultJson(id);
+  // The trace ends the body while metrics are on. It is rendered per
+  // request, not kept in the session's report: timings differ per run,
+  // and the report must stay byte-identical across sessions over the
+  // same data.
+  Result<std::string> json =
+      service_.ResultJson(id, /*with_trace=*/obs::Enabled());
   if (!json.ok()) return SendError(writer, json.status());
   if (json->empty()) {
     // Failed, or cancelled before the run started: no report exists.
@@ -1130,18 +1135,7 @@ void DiscoveryServer::HandleResult(SessionId id,
     int status = info->state == SessionState::kFailed ? 500 : 200;
     return SendJson(writer, status, w.str() + "\n");
   }
-  std::string body = *std::move(json);
-  if (obs::Enabled()) {
-    // The trace is spliced here rather than baked into the session's
-    // cached report: timings differ per run, and the cached report must
-    // stay byte-identical across sessions over the same data.
-    Result<std::string> trace = service_.TraceJson(id);
-    size_t brace = body.rfind('}');
-    if (trace.ok() && brace != std::string::npos) {
-      body.insert(brace, ",\"trace\":" + *trace);
-    }
-  }
-  SendJson(writer, 200, body);
+  SendJson(writer, 200, *json);
 }
 
 void DiscoveryServer::HandleTrace(SessionId id,

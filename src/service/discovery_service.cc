@@ -301,7 +301,8 @@ void DiscoveryService::WaitAll() {
   });
 }
 
-Result<std::string> DiscoveryService::ResultJson(SessionId id) const {
+Result<std::shared_ptr<const DiscoverySession>>
+DiscoveryService::FindTerminal(SessionId id) const {
   auto session = FindMutable(id);
   if (session == nullptr) return StaleHandle(id);
   if (!IsTerminal(session->state())) {
@@ -310,7 +311,14 @@ Result<std::string> DiscoveryService::ResultJson(SessionId id) const {
         SessionStateName(session->state()) + "; results require a "
         "terminal session (poll or wait first)");
   }
-  return session->result_json();
+  return std::shared_ptr<const DiscoverySession>(std::move(session));
+}
+
+Result<std::string> DiscoveryService::ResultJson(SessionId id,
+                                                 bool with_trace) const {
+  auto session = FindTerminal(id);
+  if (!session.ok()) return session.status();
+  return (*session)->result_json(with_trace);
 }
 
 Result<std::string> DiscoveryService::TraceJson(SessionId id) const {
@@ -320,15 +328,9 @@ Result<std::string> DiscoveryService::TraceJson(SessionId id) const {
 }
 
 Result<std::string> DiscoveryService::ResultText(SessionId id) const {
-  auto session = FindMutable(id);
-  if (session == nullptr) return StaleHandle(id);
-  if (!IsTerminal(session->state())) {
-    return Status::FailedPrecondition(
-        "session " + std::to_string(id) + " is " +
-        SessionStateName(session->state()) + "; results require a "
-        "terminal session (poll or wait first)");
-  }
-  return session->result_text();
+  auto session = FindTerminal(id);
+  if (!session.ok()) return session.status();
+  return (*session)->result_text();
 }
 
 Status DiscoveryService::Destroy(SessionId id) {

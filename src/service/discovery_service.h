@@ -141,8 +141,10 @@ class DiscoveryService {
   /// Blocks until every session created so far is terminal.
   void WaitAll();
 
-  /// Rendered results of a terminal session (see DiscoverySession).
-  Result<std::string> ResultJson(SessionId id) const;
+  /// Results of a terminal session, rendered on request (see
+  /// DiscoverySession); `with_trace` ends the JSON with the trace.
+  Result<std::string> ResultJson(SessionId id,
+                                 bool with_trace = false) const;
   Result<std::string> ResultText(SessionId id) const;
 
   /// The session's trace (spans + engine counters) as JSON. Unlike the
@@ -179,6 +181,9 @@ class DiscoveryService {
 
  private:
   std::shared_ptr<DiscoverySession> FindMutable(SessionId id) const;
+  /// The session, or why its results cannot be read yet.
+  Result<std::shared_ptr<const DiscoverySession>> FindTerminal(
+      SessionId id) const;
   void RunSession(const std::shared_ptr<DiscoverySession>& session);
   /// Claims one admission slot or refuses with kUnavailable.
   Status Admit();

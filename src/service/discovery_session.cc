@@ -215,18 +215,15 @@ void DiscoverySession::Run() {
 }
 
 void DiscoverySession::Finish(SessionState terminal, Status status) {
-  std::string json;
-  std::string text;
+  std::shared_ptr<const Report> report;
   if (terminal != SessionState::kFailed) {
-    json = algorithm_->ResultJson();
-    text = algorithm_->ResultText();
+    report = std::make_shared<const Report>(algorithm_->BuildReport());
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     state_ = terminal;
     status_ = std::move(status);
-    result_json_ = std::move(json);
-    result_text_ = std::move(text);
+    report_ = std::move(report);
   }
   RecordObservability(terminal);
 }
@@ -334,14 +331,20 @@ Status DiscoverySession::status() const {
   return status_;
 }
 
-const std::string& DiscoverySession::result_json() const {
+std::shared_ptr<const Report> DiscoverySession::report() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return result_json_;
+  return report_;
 }
 
-const std::string& DiscoverySession::result_text() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return result_text_;
+std::string DiscoverySession::result_json(bool with_trace) const {
+  std::shared_ptr<const Report> finished = report();
+  if (finished == nullptr) return "";
+  return RenderJson(*finished, with_trace ? &trace_ : nullptr);
+}
+
+std::string DiscoverySession::result_text() const {
+  std::shared_ptr<const Report> finished = report();
+  return finished == nullptr ? "" : RenderText(*finished);
 }
 
 double DiscoverySession::execute_seconds() const {

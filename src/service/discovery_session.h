@@ -2,7 +2,7 @@
 //
 // A DiscoverySession owns everything one run needs — the configured
 // Algorithm, its ExecutionControl, an optional OdSink, the data source,
-// and the rendered result cache — behind a small thread-safe state
+// and the finished run's Report — behind a small thread-safe state
 // machine:
 //
 //   kCreated ──Submit──▶ kQueued ──worker──▶ kRunning ──▶ kDone
@@ -13,7 +13,7 @@
 // data from one thread, then hands Run() to a worker; after that, every
 // accessor here is safe to call concurrently with the run: state(),
 // progress() and RequestCancel() poll/flip atomics shared with the engine,
-// and the result accessors return the cache written under the state mutex
+// and the result accessors render the Report stored under the state mutex
 // when the session turned terminal. Terminal sessions are immutable.
 //
 // Cancellation is cooperative (common/cancellation.h): a cancel requested
@@ -36,6 +36,7 @@
 #include "data/csv.h"
 #include "data/dataset_store.h"
 #include "obs/trace.h"
+#include "report/report.h"
 
 namespace fastod {
 
@@ -106,12 +107,16 @@ class DiscoverySession {
   /// The error that made the session kFailed; OK otherwise.
   Status status() const;
 
-  // ---- Results (terminal states only; empty before) -----------------
-  /// Cached Algorithm::ResultJson() / ResultText(). For kCancelled these
-  /// hold the partial results the engine reported; for kFailed they are
-  /// empty. Stable until the session is destroyed.
-  const std::string& result_json() const;
-  const std::string& result_text() const;
+  // ---- Results (terminal states only) -------------------------------
+  /// The finished run's report (report/report.h). For kCancelled it holds
+  /// the partial results the engine reported; null before the session is
+  /// terminal, for kFailed, and for a session cancelled before it ran.
+  std::shared_ptr<const Report> report() const;
+  /// The report rendered on request (RenderJson / RenderText); "" when
+  /// there is none. `with_trace` adds the session's trace as the JSON's
+  /// last member.
+  std::string result_json(bool with_trace = false) const;
+  std::string result_text() const;
   /// Engine wall-clock of the completed run.
   double execute_seconds() const;
 
@@ -146,8 +151,7 @@ class DiscoverySession {
   mutable std::mutex mutex_;
   SessionState state_ = SessionState::kCreated;  // guarded by mutex_
   Status status_;                                // guarded by mutex_
-  std::string result_json_;                      // guarded by mutex_
-  std::string result_text_;                      // guarded by mutex_
+  std::shared_ptr<const Report> report_;         // guarded by mutex_
 
   // Deferred CSV source; consumed by Run() before Execute.
   bool has_deferred_csv_ = false;

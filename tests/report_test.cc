@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
-#include "algo/fastod.h"
-#include "algo/tane.h"
+#include <memory>
+#include <string>
+
+#include "api/algorithm.h"
+#include "api/registry.h"
+#include "common/json.h"
 #include "data/csv.h"
-#include "data/encode.h"
+#include "obs/trace.h"
 #include "report/report.h"
 
 namespace fastod {
@@ -19,26 +23,22 @@ TEST(JsonEscapeTest, EscapesSpecials) {
 
 class ReportTest : public ::testing::Test {
  protected:
-  ReportTest() {
-    auto t = ReadCsvString("x,y\n1,10\n2,20\n3,30\n");
-    EXPECT_TRUE(t.ok());
-    table_ = std::move(t).value();
-    auto rel = EncodedRelation::FromTable(table_);
-    EXPECT_TRUE(rel.ok());
-    rel_ = std::move(rel).value();
+  // The report `engine` builds after running on x,y with x ~ y.
+  Report Discover(const std::string& engine) {
+    auto algo = AlgorithmRegistry::Default().Create(engine);
+    EXPECT_TRUE(algo.ok()) << engine;
+    EXPECT_TRUE((*algo)->LoadData(*ReadCsvString("x,y\n1,10\n2,20\n3,30\n"))
+                    .ok());
+    EXPECT_TRUE((*algo)->Execute().ok());
+    algo_ = std::move(*algo);  // the report borrows its schema
+    return algo_->BuildReport();
   }
 
-  RelationInfo Info() {
-    return RelationInfo{rel_.NumRows(), &rel_.schema()};
-  }
-
-  Table table_;
-  EncodedRelation rel_;
+  std::unique_ptr<Algorithm> algo_;
 };
 
 TEST_F(ReportTest, FastodJsonHasAllSections) {
-  FastodResult r = Fastod().Discover(rel_);
-  std::string json = FastodResultToJson(r, Info());
+  std::string json = RenderJson(Discover("fastod"));
   EXPECT_NE(json.find("\"algorithm\": \"fastod\""), std::string::npos);
   EXPECT_NE(json.find("\"rows\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"constancy_ods\""), std::string::npos);
@@ -49,60 +49,63 @@ TEST_F(ReportTest, FastodJsonHasAllSections) {
 }
 
 TEST_F(ReportTest, FastodTextSummaryLine) {
-  FastodResult r = Fastod().Discover(rel_);
-  std::string text = FastodResultToText(r, Info());
+  std::string text = RenderText(Discover("fastod"));
   EXPECT_NE(text.find("FASTOD:"), std::string::npos);
   EXPECT_NE(text.find("x ~ y"), std::string::npos);
 }
 
 TEST_F(ReportTest, TaneJsonAndText) {
-  TaneResult r = Tane().Discover(rel_);
-  std::string json = TaneResultToJson(r, Info());
+  Report report = Discover("tane");
+  EXPECT_EQ(report.kind, ReportKind::kFunctional);
+  std::string json = RenderJson(report);
   EXPECT_NE(json.find("\"algorithm\": \"tane\""), std::string::npos);
   EXPECT_NE(json.find("\"fds\""), std::string::npos);
-  std::string text = TaneResultToText(r, Info());
-  EXPECT_NE(text.find("TANE:"), std::string::npos);
+  EXPECT_NE(RenderText(report).find("TANE:"), std::string::npos);
 }
 
 TEST_F(ReportTest, OrderJsonAndText) {
-  OrderResult r = OrderBaseline().Discover(rel_);
-  std::string json = OrderResultToJson(r, Info());
+  Report report = Discover("order");
+  EXPECT_EQ(report.kind, ReportKind::kList);
+  std::string json = RenderJson(report);
   EXPECT_NE(json.find("\"algorithm\": \"order\""), std::string::npos);
   EXPECT_NE(json.find("\"ods\""), std::string::npos);
-  std::string text = OrderResultToText(r, Info());
+  std::string text = RenderText(report);
   EXPECT_NE(text.find("ORDER:"), std::string::npos);
   EXPECT_NE(text.find("orders"), std::string::npos);
 }
 
 TEST_F(ReportTest, JsonIsBalanced) {
-  // Cheap structural check: equal counts of braces/brackets and an even
-  // number of unescaped quotes.
-  FastodResult r = Fastod().Discover(rel_);
-  std::string json = FastodResultToJson(r, Info());
-  int braces = 0;
-  int brackets = 0;
-  int quotes = 0;
-  for (size_t i = 0; i < json.size(); ++i) {
-    char c = json[i];
-    bool escaped = i > 0 && json[i - 1] == '\\';
-    if (c == '{') ++braces;
-    if (c == '}') --braces;
-    if (c == '[') ++brackets;
-    if (c == ']') --brackets;
-    if (c == '"' && !escaped) ++quotes;
+  // Every kind of report parses as one JSON document.
+  for (const char* engine : {"fastod", "tane", "order", "conditional"}) {
+    Result<JsonValue> parsed = ParseJson(RenderJson(Discover(engine)));
+    EXPECT_TRUE(parsed.ok()) << engine << ": "
+                             << parsed.status().ToString();
   }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-  EXPECT_EQ(quotes % 2, 0);
 }
 
 TEST_F(ReportTest, TimedOutFlagRendered) {
-  FastodResult r;
-  r.timed_out = true;
-  std::string json = FastodResultToJson(r, Info());
-  EXPECT_NE(json.find("\"timed_out\": true"), std::string::npos);
-  std::string text = FastodResultToText(r, Info());
-  EXPECT_NE(text.find("[TIMED OUT]"), std::string::npos);
+  Report report = Discover("fastod");
+  report.timed_out = true;
+  EXPECT_NE(RenderJson(report).find("\"timed_out\": true"),
+            std::string::npos);
+  EXPECT_NE(RenderText(report).find("[TIMED OUT]"), std::string::npos);
+}
+
+// The trace is the last member, written immediately before the closing
+// brace; without a trace the bytes are the plain report's.
+TEST_F(ReportTest, TraceIsTheLastMember) {
+  Report report = Discover("fastod");
+  obs::TraceRecorder trace;
+  trace.RecordSpan("execute", 0.0, 0.5);
+  trace.SetEngineStats(algo_->stats());
+  std::string plain = RenderJson(report);
+  std::string traced = RenderJson(report, &trace);
+  ASSERT_EQ(plain.substr(plain.size() - 3), "\n}\n");
+  EXPECT_EQ(traced, plain.substr(0, plain.size() - 2) + ",\"trace\":" +
+                        trace.ToJson() + "}\n");
+  Result<JsonValue> parsed = ParseJson(traced);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  EXPECT_EQ(parsed->object_items().back().first, "trace");
 }
 
 }  // namespace

@@ -221,9 +221,8 @@ class StepAlgorithm : public Algorithm {
         gate_(gate),
         steps_(steps) {}
 
-  std::string ResultText() const override { return "step\n"; }
-  std::string ResultJson() const override {
-    return "{\"algorithm\": \"step\"}\n";
+  Report BuildReport() const override {
+    return NewReport(ReportKind::kCanonical, execute_seconds(), false);
   }
 
  protected:
@@ -258,9 +257,8 @@ class SpinAlgorithm : public Algorithm {
   explicit SpinAlgorithm(int max_ms)
       : Algorithm("spin", "test-only busy run"), max_ms_(max_ms) {}
 
-  std::string ResultText() const override { return "spin\n"; }
-  std::string ResultJson() const override {
-    return "{\"algorithm\": \"spin\"}\n";
+  Report BuildReport() const override {
+    return NewReport(ReportKind::kCanonical, execute_seconds(), false);
   }
 
  protected:

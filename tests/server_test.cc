@@ -228,21 +228,12 @@ class TrickleAlgorithm : public Algorithm {
         gate_(gate),
         steps_(steps) {}
 
-  std::string ResultText() const override { return "trickle\n"; }
-  std::string ResultJson() const override {
-    JsonWriter w;
-    w.BeginObject().Key("algorithm").String("trickle");
-    w.Key("constancy_ods").BeginArray();
-    for (const ConstancyOd& od : emitted_) {
-      w.BeginObject().Key("context").BeginArray();
-      for (int a = od.context.First(); a >= 0; a = od.context.Next(a)) {
-        w.String(schema()->name(a));
-      }
-      w.EndArray().Key("attribute").String(schema()->name(od.attribute));
-      w.EndObject();
-    }
-    w.EndArray().EndObject();
-    return w.str() + "\n";
+  Report BuildReport() const override {
+    Report report =
+        NewReport(ReportKind::kCanonical, execute_seconds(), false);
+    report.constancy_ods = emitted_;
+    report.num_constancy = static_cast<int64_t>(emitted_.size());
+    return report;
   }
 
  protected:
@@ -275,8 +266,7 @@ class ThrowingAlgorithm : public Algorithm {
  public:
   ThrowingAlgorithm()
       : Algorithm("throwing", "test-only engine that throws") {}
-  std::string ResultText() const override { return ""; }
-  std::string ResultJson() const override { return ""; }
+  Report BuildReport() const override { return Report(); }
 
  protected:
   Status ExecuteInternal() override {

@@ -216,9 +216,8 @@ class SleeperAlgorithm : public Algorithm {
         rendezvous_(rendezvous),
         expected_(expected) {}
 
-  std::string ResultText() const override { return "sleeper\n"; }
-  std::string ResultJson() const override {
-    return "{\"algorithm\": \"sleeper\"}\n";
+  Report BuildReport() const override {
+    return NewReport(ReportKind::kCanonical, execute_seconds(), false);
   }
 
  protected:
@@ -467,8 +466,7 @@ class ThrowingAlgorithm : public Algorithm {
  public:
   ThrowingAlgorithm()
       : Algorithm("throwing", "test-only engine that throws") {}
-  std::string ResultText() const override { return ""; }
-  std::string ResultJson() const override { return ""; }
+  Report BuildReport() const override { return Report(); }
 
  protected:
   Status ExecuteInternal() override {
