@@ -1068,7 +1068,7 @@ void DiscoveryServer::HandleCancel(SessionId id, bool purge,
                                    HttpResponseWriter& writer) {
   if (purge) {
     // Purge frees everything the session retains (encoded relation,
-    // cached report, stream channel). Only terminal sessions qualify: a
+    // report, stream channel). Only terminal sessions qualify: a
     // live run still holds the sink pointer, so freeing the channel
     // under it would be a use-after-free — cancel first, poll terminal,
     // then purge.

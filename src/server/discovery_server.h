@@ -63,7 +63,7 @@
 //   DELETE /v1/sessions/{id}         cooperative cancel (idempotent)
 //   DELETE /v1/sessions/{id}?purge=1 destroy a *terminal* session and
 //                                    free everything it retains (the
-//                                    encoded relation, cached report,
+//                                    encoded relation, report,
 //                                    stream channel); 409 while live —
 //                                    long-running servers must purge or
 //                                    they accumulate one dataset per

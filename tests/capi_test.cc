@@ -35,6 +35,16 @@ TEST(CApiTest, VersionMatchesMacros) {
   EXPECT_STREQ(fastod_version_string(), expected.c_str());
 }
 
+// The shared library file is named for the version fastod_version_string()
+// reports (CMake reads it from fastod_c.h).
+TEST(CApiTest, LibraryFileCarriesTheVersion) {
+  const std::string file = FASTOD_C_LIBRARY_FILE;
+  const std::string suffix = std::string(".so.") + fastod_version_string();
+  ASSERT_GT(file.size(), suffix.size()) << file;
+  EXPECT_EQ(file.substr(file.size() - suffix.size()), suffix);
+  EXPECT_TRUE(std::ifstream(file).good()) << file;
+}
+
 TEST(CApiTest, RegistryIntrospection) {
   int count = fastod_algorithm_count();
   ASSERT_GE(count, 6);

@@ -21,6 +21,7 @@
 #include "algo/fastod.h"
 #include "api/od_sink.h"
 #include "api/registry.h"
+#include "data/csv.h"
 #include "data/dataset_store.h"
 #include "data/encode.h"
 #include "data/table.h"
@@ -312,6 +313,56 @@ TEST(IncrementalEngineTest, RegisteredAndEquivalentThroughAdapter) {
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(Sorted(reparsed->constancy),
             Sorted(incremental->result().constancy_ods));
+}
+
+// FASTOD never reports a trivial or a repeated OD, so a prior holding
+// one is refused, naming the OD, instead of being echoed back as
+// surviving.
+TEST(IncrementalEngineTest, PriorRejectsTrivialAndRepeatedOds) {
+  Table table = *ReadCsvString("a,b,c\n1,1,5\n2,2,5\n3,3,5\n");
+  const struct {
+    const char* prior;
+    const char* od;
+  } cases[] = {
+      {R"({"constancy_ods": [{"context": ["a"], "attribute": "a"}]})",
+       "{a}: [] -> a"},
+      {R"({"compatibility_ods": [{"context": [], "a": "a", "b": "a"}]})",
+       "{}: a ~ a"},
+      {R"({"compatibility_ods": [{"context": ["b"], "a": "a", "b": "b"}]})",
+       "{b}: a ~ b"},
+      {R"({"compatibility_ods": [{"context": ["a"], "a": "a", "b": "c"}]})",
+       "{a}: a ~ c"},
+      {R"({"constancy_ods": [{"context": [], "attribute": "c"},
+                             {"context": [], "attribute": "c"}]})",
+       "{}: [] -> c"},
+      // Order compatibility is symmetric: b ~ a repeats a ~ b.
+      {R"({"compatibility_ods": [{"context": [], "a": "a", "b": "b"},
+                                 {"context": [], "a": "b", "b": "a"}]})",
+       "{}: a ~ b"},
+  };
+  for (const auto& c : cases) {
+    Result<PriorOds> parsed = ParsePriorReport(c.prior, table.schema());
+    ASSERT_FALSE(parsed.ok()) << c.prior;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find(c.od), std::string::npos)
+        << parsed.status().message();
+  }
+
+  // Through the engine: the run fails instead of reporting the trivial
+  // ODs as survivors.
+  auto algo = AlgorithmRegistry::Default().Create("incremental");
+  ASSERT_TRUE(algo.ok());
+  ASSERT_TRUE((*algo)->SetOption("base-rows", "3").ok());
+  ASSERT_TRUE((*algo)
+                  ->SetOption("prior",
+                              R"({"constancy_ods": [{"context": ["a"],)"
+                              R"( "attribute": "a"}]})")
+                  .ok());
+  ASSERT_TRUE((*algo)->LoadData(table).ok());
+  Status executed = (*algo)->Execute();
+  EXPECT_EQ(executed.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(executed.message().find("{a}: [] -> a"), std::string::npos)
+      << executed.ToString();
 }
 
 TEST(IncrementalEngineTest, RequiresPriorAndValidBaseRows) {

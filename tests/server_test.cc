@@ -1187,6 +1187,44 @@ TEST(DiscoveryServerTest, AppendLifecycleStreamsRevocations) {
             SortedOdDump(*fresh_report, "compatibility_ods"));
 }
 
+// A prior with a trivial OD fails the incremental session with a message
+// naming the OD.
+TEST(DiscoveryServerTest, IncrementalSessionRejectsTrivialPriorOd) {
+  ServerFixture fixture;
+  int port = fixture.port();
+  JsonWriter post;
+  post.BeginObject()
+      .Key("algorithm")
+      .String("incremental")
+      .Key("csv")
+      .String("a,b,c\n1,1,5\n2,2,5\n3,3,5\n")
+      .Key("options")
+      .BeginObject()
+      .Key("base-rows")
+      .String("3")
+      .Key("prior")
+      .String(R"({"compatibility_ods": [{"context": [], "a": "a",)"
+              R"( "b": "a"}]})")
+      .EndObject()
+      .EndObject();
+  ClientResponse created = Fetch(port, "POST", "/v1/sessions", post.str());
+  ASSERT_EQ(created.status, 201) << created.body;
+  int64_t id = SessionIdOf(created.body);
+  WaitTerminal(port, id);
+  EXPECT_EQ(StateOf(port, id), "failed");
+  ClientResponse info =
+      Fetch(port, "GET", "/v1/sessions/" + std::to_string(id));
+  EXPECT_NE(info.body.find("prior OD {}: a ~ a is trivial"),
+            std::string::npos)
+      << info.body;
+  ClientResponse result = Fetch(
+      port, "GET", "/v1/sessions/" + std::to_string(id) + "/result");
+  EXPECT_EQ(result.status, 500);
+  EXPECT_NE(result.body.find("prior OD {}: a ~ a is trivial"),
+            std::string::npos)
+      << result.body;
+}
+
 TEST(DiscoveryServerTest, DatasetVersionPinningAndAppendErrors) {
   ServerFixture fixture;
   int port = fixture.port();

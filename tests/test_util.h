@@ -49,15 +49,15 @@ inline std::string MaskTextSeconds(std::string text) {
   return text;
 }
 
-/// Removes the ,"trace": {...} object the server splices into /result
-/// bodies while metrics are enabled. Traces carry wall-clock spans and
+/// Removes the ,"trace": {...} member that ends /result bodies while
+/// metrics are enabled. Traces carry wall-clock spans and
 /// source-dependent cache counters (a dataset-bound session skips the
 /// csv.parse span and seeds its partition cache), so bit-for-bit
 /// comparisons of the discovery output strip the trace first.
 inline std::string StripTrace(std::string json) {
   size_t pos = json.find(",\"trace\":");
   if (pos == std::string::npos) return json;
-  // The splice sits immediately before the body's final brace.
+  // The trace is the last member, immediately before the final brace.
   size_t end = json.rfind('}');
   if (end == std::string::npos || end <= pos) return json;
   json.erase(pos, end - pos);
