@@ -108,13 +108,11 @@ class DiscoverySession {
   Status status() const;
 
   // ---- Results (terminal states only) -------------------------------
-  /// The finished run's report (report/report.h). For kCancelled it holds
-  /// the partial results the engine reported; null before the session is
-  /// terminal, for kFailed, and for a session cancelled before it ran.
-  std::shared_ptr<const Report> report() const;
-  /// The report rendered on request (RenderJson / RenderText); "" when
-  /// there is none. `with_trace` adds the session's trace as the JSON's
-  /// last member.
+  /// The finished run's report (report/report.h), rendered on request.
+  /// For kCancelled it holds the partial results the engine reported; ""
+  /// before the session is terminal, for kFailed, and for a session
+  /// cancelled before it ran. `with_trace` adds the session's trace as
+  /// the JSON's last member.
   std::string result_json(bool with_trace = false) const;
   std::string result_text() const;
   /// Engine wall-clock of the completed run.
@@ -140,6 +138,8 @@ class DiscoverySession {
   /// once the session has left kCreated.
   Status BindEncoded(Result<EncodedRelation> relation);
   void Finish(SessionState terminal, Status status);
+  /// The report Finish() stored; null when there is none.
+  std::shared_ptr<const Report> report() const;
   /// Publishes the terminal transition to the global metrics registry
   /// and copies the engine's counters into the trace.
   void RecordObservability(SessionState terminal);
