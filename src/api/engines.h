@@ -4,10 +4,10 @@
 // Each adapter is a thin shim: it registers typed options that write
 // straight into the engine's native options struct, forwards the attached
 // OdSink / ExecutionControl, runs the legacy entry point in
-// ExecuteInternal(), and copies its result into a Report
-// (report/report.h) in BuildReport(). The engines'
-// direct APIs (Fastod::Discover etc.) remain available and authoritative;
-// tests/api_test.cc pins the adapters to them bit-for-bit.
+// ExecuteInternal(), and copies its result into a Report (report/report.h)
+// in BuildReport(). The engines' direct APIs (Fastod::Discover etc.)
+// remain available and authoritative; tests/api_test.cc pins the
+// adapters to them bit-for-bit.
 //
 // Registered names (api/registry.h):
 //   fastod       complete minimal canonical-OD discovery (Section 4)

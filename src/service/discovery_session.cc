@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "obs/metrics.h"
+#include "report/report.h"
 
 namespace fastod {
 
@@ -215,15 +216,11 @@ void DiscoverySession::Run() {
 }
 
 void DiscoverySession::Finish(SessionState terminal, Status status) {
-  std::shared_ptr<const Report> report;
-  if (terminal != SessionState::kFailed) {
-    report = std::make_shared<const Report>(algorithm_->BuildReport());
-  }
   {
     std::lock_guard<std::mutex> lock(mutex_);
     state_ = terminal;
     status_ = std::move(status);
-    report_ = std::move(report);
+    has_report_ = terminal != SessionState::kFailed;
   }
   RecordObservability(terminal);
 }
@@ -331,20 +328,21 @@ Status DiscoverySession::status() const {
   return status_;
 }
 
-std::shared_ptr<const Report> DiscoverySession::report() const {
+bool DiscoverySession::has_report() const {
   std::lock_guard<std::mutex> lock(mutex_);
-  return report_;
+  return has_report_;
 }
 
+// A terminal session's engine is never written again, so any number of
+// threads may build its report at once.
 std::string DiscoverySession::result_json(bool with_trace) const {
-  std::shared_ptr<const Report> finished = report();
-  if (finished == nullptr) return "";
-  return RenderJson(*finished, with_trace ? &trace_ : nullptr);
+  if (!has_report()) return "";
+  return RenderJson(algorithm_->BuildReport(),
+                    with_trace ? &trace_ : nullptr);
 }
 
 std::string DiscoverySession::result_text() const {
-  std::shared_ptr<const Report> finished = report();
-  return finished == nullptr ? "" : RenderText(*finished);
+  return has_report() ? algorithm_->ResultText() : "";
 }
 
 double DiscoverySession::execute_seconds() const {

@@ -1,9 +1,8 @@
 // One discovery job as a long-lived, observable object.
 //
 // A DiscoverySession owns everything one run needs — the configured
-// Algorithm, its ExecutionControl, an optional OdSink, the data source,
-// and the finished run's Report — behind a small thread-safe state
-// machine:
+// Algorithm, its ExecutionControl, an optional OdSink and the data
+// source — behind a small thread-safe state machine:
 //
 //   kCreated ──Submit──▶ kQueued ──worker──▶ kRunning ──▶ kDone
 //                                                     └──▶ kFailed
@@ -13,8 +12,9 @@
 // data from one thread, then hands Run() to a worker; after that, every
 // accessor here is safe to call concurrently with the run: state(),
 // progress() and RequestCancel() poll/flip atomics shared with the engine,
-// and the result accessors render the Report stored under the state mutex
-// when the session turned terminal. Terminal sessions are immutable.
+// and the result accessors render the finished engine's Report on request
+// once the state mutex shows the session terminal. Terminal sessions are
+// immutable.
 //
 // Cancellation is cooperative (common/cancellation.h): a cancel requested
 // while the engine is mid-run is honored at its next safepoint (the next
@@ -36,7 +36,6 @@
 #include "data/csv.h"
 #include "data/dataset_store.h"
 #include "obs/trace.h"
-#include "report/report.h"
 
 namespace fastod {
 
@@ -138,8 +137,8 @@ class DiscoverySession {
   /// once the session has left kCreated.
   Status BindEncoded(Result<EncodedRelation> relation);
   void Finish(SessionState terminal, Status status);
-  /// The report Finish() stored; null when there is none.
-  std::shared_ptr<const Report> report() const;
+  /// True once Finish() recorded a run that has results to report.
+  bool has_report() const;
   /// Publishes the terminal transition to the global metrics registry
   /// and copies the engine's counters into the trace.
   void RecordObservability(SessionState terminal);
@@ -151,7 +150,7 @@ class DiscoverySession {
   mutable std::mutex mutex_;
   SessionState state_ = SessionState::kCreated;  // guarded by mutex_
   Status status_;                                // guarded by mutex_
-  std::shared_ptr<const Report> report_;         // guarded by mutex_
+  bool has_report_ = false;                      // guarded by mutex_
 
   // Deferred CSV source; consumed by Run() before Execute.
   bool has_deferred_csv_ = false;

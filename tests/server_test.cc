@@ -232,7 +232,6 @@ class TrickleAlgorithm : public Algorithm {
     Report report =
         NewReport(ReportKind::kCanonical, execute_seconds(), false);
     report.constancy_ods = emitted_;
-    report.num_constancy = static_cast<int64_t>(emitted_.size());
     return report;
   }
 
