@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -56,6 +57,21 @@ struct Level {
   }
 };
 
+// One order-compatibility check X\{A,B}: A ~ B of a node. The node's
+// validation step lists it; the level's swap stage decides it together
+// with every other check of the level under the same context.
+struct SwapCheck {
+  enum Verdict : uint8_t {
+    kUnchecked,   // not reached: the run stopped first
+    kAscending,   // A ~ B holds
+    kDescending,  // only A ~ B-descending holds (bidirectional mode)
+    kNeither,
+  };
+  const StrippedPartition* context;  // Π*_{X\{A,B}}
+  PairId pair;
+  Verdict verdict = kUnchecked;
+};
+
 // Per-node validation results, merged into the global result in canonical
 // node order so that output is deterministic under any thread count.
 struct NodeOutcome {
@@ -65,6 +81,7 @@ struct NodeOutcome {
   std::vector<ConstancyOd> constancy;             // only if emit_ods
   std::vector<CompatibilityOd> compatibility;     // only if emit_ods
   std::vector<BidiCompatibilityOd> bidirectional; // only if emit_ods
+  std::vector<SwapCheck> checks;                  // in Cs+ order
   int64_t constancy_checks = 0;
   int64_t swap_checks = 0;
   int64_t key_prune_hits = 0;
@@ -75,11 +92,12 @@ struct NodeOutcome {
 //
 // The lattice is walked level by level. Each per-node stage of a level —
 // candidate sets, validation, the join's partition products — is one
-// NodeStages::ForEach over the level's nodes. A stage writes only its own
-// node's slot and reads the previous level and the partition cache, which
-// no stage mutates; results are merged serially, in node order, on the
-// thread that called Execute(). Emission order therefore does not depend
-// on the thread count.
+// NodeStages::ForEach over the level's nodes; the swap stage is one
+// ForEach over the level's distinct check contexts. A stage writes only
+// its own node's (or check's) slot and reads the previous level and the
+// partition cache, which no stage mutates; results are merged serially,
+// in node order, on the thread that called Execute(). Emission order
+// therefore does not depend on the thread count.
 class Run {
  public:
   Run(const EncodedRelation& relation, const FastodOptions& options,
@@ -181,7 +199,7 @@ class Run {
         ComputeCandidateSets(l, &current_.nodes[i]);
       });
     }
-    // Stage 2: validate every node against the partition cache.
+    // Stage 2: per node, the constancy side and the list of swap checks.
     std::vector<NodeOutcome> outcomes(num_nodes);
     stages_.ForEach(num_nodes, [&](int64_t i) {
       // Per-node fault point: "fail" stops the run like a cancel, "throw"
@@ -191,14 +209,95 @@ class Run {
         stages_.RequestStop(NodeStages::kCancelled);
         return;
       }
-      std::unique_ptr<SwapChecker> checker = TakeChecker();
-      ValidateNode(l, &current_.nodes[i], checker.get(), &outcomes[i]);
-      ReturnChecker(std::move(checker));
+      ValidateNode(l, &current_.nodes[i], &outcomes[i]);
     });
+    // Stage 3: every swap check of the level, grouped by context.
+    RunSwapChecks(&outcomes);
     // Merge in node order: deterministic output for any thread count. A
     // sink streams here; emit_ods independently accumulates the vectors.
-    for (NodeOutcome& o : outcomes) {
-      MergeOutcome(&o, stats);
+    for (int64_t i = 0; i < num_nodes; ++i) {
+      MergeOutcome(&current_.nodes[i], &outcomes[i], stats);
+    }
+  }
+
+  // Decides the level's swap checks. Checks are bucketed by context
+  // partition in first-seen order (one hash probe per check, no sort),
+  // and each work item binds one SwapChecker to one context — so a τ
+  // class index is filled once per context, not once per check. With a
+  // pool, a large bucket is split so one context cannot hold the level.
+  void RunSwapChecks(std::vector<NodeOutcome>* outcomes) {
+    std::unordered_map<const StrippedPartition*, int32_t> bucket_of;
+    std::vector<int32_t> starts;  // bucket sizes, then offsets
+    std::vector<int32_t> bucket_ids;
+    for (NodeOutcome& o : *outcomes) {
+      for (const SwapCheck& check : o.checks) {
+        auto [it, inserted] = bucket_of.try_emplace(
+            check.context, static_cast<int32_t>(starts.size()));
+        if (inserted) starts.push_back(0);
+        ++starts[it->second];
+        bucket_ids.push_back(it->second);
+      }
+    }
+    if (bucket_ids.empty()) return;
+    const int32_t total = static_cast<int32_t>(bucket_ids.size());
+    int32_t offset = 0;
+    for (int32_t& start : starts) {
+      const int32_t size = start;
+      start = offset;
+      offset += size;
+    }
+    std::vector<SwapCheck*> grouped(total);
+    size_t k = 0;
+    for (NodeOutcome& o : *outcomes) {
+      for (SwapCheck& check : o.checks) {
+        grouped[starts[bucket_ids[k++]]++] = &check;
+      }
+    }
+    // starts[b] is now the end of bucket b. Cut work items at bucket ends
+    // and, with a pool, every `cap` checks.
+    const int32_t cap =
+        stages_.party() > 1
+            ? std::max<int32_t>(1, total / (stages_.party() * 8))
+            : total;
+    std::vector<std::pair<int32_t, int32_t>> items;
+    int32_t begin = 0;
+    for (int32_t end : starts) {
+      for (; begin < end; begin += std::min(cap, end - begin)) {
+        items.emplace_back(begin, begin + std::min(cap, end - begin));
+      }
+    }
+    stages_.ForEach(static_cast<int64_t>(items.size()), [&](int64_t i) {
+      std::unique_ptr<SwapChecker> checker = TakeChecker();
+      DecideChecks(std::span<SwapCheck* const>(
+                       grouped.data() + items[i].first,
+                       items[i].second - items[i].first),
+                   checker.get());
+      ReturnChecker(std::move(checker));
+    });
+  }
+
+  // Decides checks that all share one context.
+  void DecideChecks(std::span<SwapCheck* const> checks,
+                    SwapChecker* checker) const {
+    const StrippedPartition& context = *checks.front()->context;
+    const bool exact = options_.max_error <= 0.0;
+    if (exact) checker->SetContext(context);
+    for (SwapCheck* check : checks) {
+      const int a = PairFirst(check->pair);
+      const int b = PairSecond(check->pair);
+      if (exact ? checker->Check(a, b)
+                : CompatibilityError(relation_, context, a, b) <=
+                      options_.max_error) {
+        check->verdict = SwapCheck::kAscending;
+      } else if (options_.discover_bidirectional &&
+                 (exact ? checker->Check(a, b, /*opposite=*/true)
+                        : CompatibilityError(relation_, context, a, b,
+                                             /*opposite=*/true) <=
+                              options_.max_error)) {
+        check->verdict = SwapCheck::kDescending;
+      } else {
+        check->verdict = SwapCheck::kNeither;
+      }
     }
   }
 
@@ -220,7 +319,8 @@ class Run {
 
   // Algorithm 2: Apriori-style join of single-attribute-difference blocks,
   // plus the all-subsets-present check; computes each new node's partition
-  // as the product of its two generating parents (Section 4.6).
+  // as the product of its two generating parents (Section 4.6), as one
+  // parent refined by the other's extra attribute.
   Level CalculateNextLevel(int l) {
     Level next;
     // Block key: the node's set minus its highest attribute. Two nodes in
@@ -276,13 +376,25 @@ class Run {
     // Stage 3: the products, the bulk of the join's cost. Puts follow in
     // join order, so cache traffic is the same at every thread count.
     stages_.ForEach(static_cast<int64_t>(pending.size()), [&](int64_t i) {
-      pending[i].product = cache_.Get(pending[i].parent_a)
-                               .Product(cache_.Get(pending[i].parent_b));
+      pending[i].product =
+          JoinProduct(pending[i].parent_a, pending[i].parent_b);
     });
     for (size_t i = 0; i < pending.size(); ++i) {
       cache_.Put(l + 1, next.nodes[i].set, std::move(pending[i].product));
     }
     return next;
+  }
+
+  // Π*_{A∪B} for join parents A and B, which differ in one attribute
+  // each: the parent with fewer elements, refined by the other's extra
+  // attribute.
+  StrippedPartition JoinProduct(AttributeSet a, AttributeSet b) const {
+    const StrippedPartition& pa = cache_.Get(a);
+    const StrippedPartition& pb = cache_.Get(b);
+    if (pb.NumElements() < pa.NumElements()) {
+      return pb.Refine(relation_.codes(a.Minus(b).First()));
+    }
+    return pa.Refine(relation_.codes(b.Minus(a).First()));
   }
 
   // Cc+(X) and Cs+(X) from the (l-1)-subsets (Lemma 9 / Alg. 3 line 6).
@@ -333,17 +445,17 @@ class Run {
     node->cs = std::move(kept);
   }
 
-  void ValidateNode(int l, Node* node, SwapChecker* checker,
-                    NodeOutcome* out) {
+  void ValidateNode(int l, Node* node, NodeOutcome* out) {
     if (options_.minimality_pruning) {
-      ValidateNodeMinimal(l, node, checker, out);
+      ValidateNodeMinimal(l, node, out);
     } else {
-      ValidateNodeExhaustive(l, node->set, checker, out);
+      ValidateNodeExhaustive(l, node->set, out);
     }
   }
 
-  void ValidateNodeMinimal(int l, Node* node, SwapChecker* checker,
-                           NodeOutcome* out) {
+  // The constancy side of node X, and the swap checks its Cs+ still asks
+  // for; RunSwapChecks decides them and MergeOutcome applies the verdicts.
+  void ValidateNodeMinimal(int l, Node* node, NodeOutcome* out) {
     const StrippedPartition& node_partition = cache_.Get(node->set);
     // --- Constancy side: X\A: [] -> A for A ∈ X ∩ Cc+(X) (Lemma 7). ---
     AttributeSet fd_candidates = node->set.Intersect(node->cc);
@@ -372,8 +484,8 @@ class Run {
     }
     if (l < 2) return;
     // --- Compatibility side: X\{A,B}: A ~ B for {A,B} ∈ Cs+(X). ---
-    std::vector<PairId> remaining;
-    remaining.reserve(node->cs.size());
+    // Line 18 and key pruning only read the previous level and the
+    // context, never a verdict, so the checks can be listed up front.
     for (PairId p : node->cs) {
       const int a = PairFirst(p);
       const int b = PairSecond(p);
@@ -384,34 +496,20 @@ class Run {
       if (!parent_xb->cc.Contains(a) || !parent_xa->cc.Contains(b)) {
         continue;  // removed from Cs+
       }
-      const AttributeSet context = node->set.Without(a).Without(b);
-      const StrippedPartition& context_partition = cache_.Get(context);
+      const StrippedPartition& context_partition =
+          cache_.Get(node->set.Without(a).Without(b));
       if (options_.key_pruning && context_partition.IsSuperkey()) {
         // Lemma 13: valid but never minimal — remove without emitting.
         ++out->key_prune_hits;
         continue;
       }
-      ++out->swap_checks;
-      if (CompatibilityHolds(checker, context_partition, a, b)) {
-        RecordCompatibility(CompatibilityOd(context, a, b), out);
-        continue;  // removed from Cs+ (line 22)
-      }
-      if (options_.discover_bidirectional) {
-        ++out->swap_checks;
-        if (BidiCompatibilityHolds(checker, context_partition, a, b)) {
-          RecordBidirectional(BidiCompatibilityOd(context, a, b), out);
-          continue;  // pair resolved with opposite polarity
-        }
-      }
-      remaining.push_back(p);
+      out->checks.push_back(SwapCheck{&context_partition, p});
     }
-    node->cs = std::move(remaining);
   }
 
   // The FASTOD-NoPruning configuration: validate every non-trivial OD at
   // this node and count all valid ones, minimal or not (Exp-5/6).
-  void ValidateNodeExhaustive(int l, AttributeSet set, SwapChecker* checker,
-                              NodeOutcome* out) {
+  void ValidateNodeExhaustive(int l, AttributeSet set, NodeOutcome* out) {
     const StrippedPartition& node_partition = cache_.Get(set);
     for (int a = set.First(); a >= 0; a = set.Next(a)) {
       const AttributeSet context = set.Without(a);
@@ -423,23 +521,37 @@ class Run {
     if (l < 2) return;
     for (int a = set.First(); a >= 0; a = set.Next(a)) {
       for (int b = set.Next(a); b >= 0; b = set.Next(b)) {
-        const AttributeSet context = set.Without(a).Without(b);
-        ++out->swap_checks;
-        if (CompatibilityHolds(checker, cache_.Get(context), a, b)) {
-          RecordCompatibility(CompatibilityOd(context, a, b), out);
-        } else if (options_.discover_bidirectional) {
-          ++out->swap_checks;
-          if (BidiCompatibilityHolds(checker, cache_.Get(context), a, b)) {
-            RecordBidirectional(BidiCompatibilityOd(context, a, b), out);
-          }
-        }
+        out->checks.push_back(SwapCheck{
+            &cache_.Get(set.Without(a).Without(b)), MakePair(a, b)});
       }
     }
   }
 
-  // Accumulates one node's buffered outcome into the run result, the
-  // level stats, and the sink.
-  void MergeOutcome(NodeOutcome* o, FastodLevelStats* stats) {
+  // Applies the verdicts of one node's swap checks — ODs found, and the
+  // pairs left in Cs+ — then accumulates the node's buffered outcome into
+  // the run result, the level stats, and the sink.
+  void MergeOutcome(Node* node, NodeOutcome* o, FastodLevelStats* stats) {
+    std::vector<PairId> remaining;
+    for (const SwapCheck& check : o->checks) {
+      const int a = PairFirst(check.pair);
+      const int b = PairSecond(check.pair);
+      const AttributeSet context = node->set.Without(a).Without(b);
+      if (check.verdict != SwapCheck::kUnchecked) ++o->swap_checks;
+      if (check.verdict == SwapCheck::kAscending) {
+        RecordCompatibility(CompatibilityOd(context, a, b), o);
+        continue;  // removed from Cs+ (line 22)
+      }
+      if (check.verdict != SwapCheck::kUnchecked &&
+          options_.discover_bidirectional) {
+        ++o->swap_checks;  // the opposite polarity was tried too
+      }
+      if (check.verdict == SwapCheck::kDescending) {
+        RecordBidirectional(BidiCompatibilityOd(context, a, b), o);
+        continue;  // pair resolved with opposite polarity
+      }
+      remaining.push_back(check.pair);
+    }
+    if (options_.minimality_pruning) node->cs = std::move(remaining);
     result_.num_constancy += o->num_constancy;
     result_.num_compatibility += o->num_compatibility;
     result_.num_bidirectional += o->num_bidirectional;
@@ -481,30 +593,9 @@ class Run {
            options_.max_error;
   }
 
-  bool CompatibilityHolds(SwapChecker* checker,
-                          const StrippedPartition& context_partition, int a,
-                          int b) const {
-    if (options_.max_error <= 0.0) {
-      return checker->IsOrderCompatible(context_partition, a, b);
-    }
-    return CompatibilityError(relation_, context_partition, a, b) <=
-           options_.max_error;
-  }
-
-  bool BidiCompatibilityHolds(SwapChecker* checker,
-                              const StrippedPartition& context_partition,
-                              int a, int b) const {
-    if (options_.max_error <= 0.0) {
-      return checker->IsOrderCompatibleDirected(context_partition, a, b,
-                                                /*opposite=*/true);
-    }
-    return CompatibilityError(relation_, context_partition, a, b,
-                              /*opposite=*/true) <= options_.max_error;
-  }
-
-  // A node borrows a SwapChecker for its validation so the checkers'
-  // scratch buffers are reused across nodes: at most one checker per
-  // thread ever exists.
+  // A swap work item borrows a SwapChecker so the checkers' scratch
+  // buffers are reused across items: at most one checker per thread ever
+  // exists.
   std::unique_ptr<SwapChecker> TakeChecker() {
     std::lock_guard<std::mutex> lock(checkers_mutex_);
     if (checkers_.empty()) {

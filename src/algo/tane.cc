@@ -241,9 +241,17 @@ class Run {
     }
     // The products, the bulk of the join's cost at scale. Puts follow in
     // join order, so cache traffic is the same at every thread count.
+    // Each product refines the parent with fewer elements by the other's
+    // extra attribute.
     stages_.ForEach(static_cast<int64_t>(pending.size()), [&](int64_t i) {
-      pending[i].product = cache_.Get(pending[i].parent_a)
-                               .Product(cache_.Get(pending[i].parent_b));
+      const AttributeSet a = pending[i].parent_a;
+      const AttributeSet b = pending[i].parent_b;
+      const StrippedPartition& pa = cache_.Get(a);
+      const StrippedPartition& pb = cache_.Get(b);
+      pending[i].product =
+          pb.NumElements() < pa.NumElements()
+              ? pb.Refine(relation_.codes(a.Minus(b).First()))
+              : pa.Refine(relation_.codes(b.Minus(a).First()));
     });
     for (Pending& p : pending) {
       cache_.Put(l + 1, p.set, std::move(p.product));

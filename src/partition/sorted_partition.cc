@@ -30,6 +30,26 @@ SwapChecker::SwapChecker(const EncodedRelation* relation,
   FASTOD_CHECK(relation_ != nullptr);
 }
 
+void SwapChecker::SetContext(const StrippedPartition& context) {
+  context_ = &context;
+  // τ-based scans all n tuples per check; sort-based pays Σ c·log c over
+  // context classes. Prefer τ when the context still covers most of the
+  // relation and τ orders are available.
+  use_tau_ = sorted_ != nullptr &&
+             (method_ == SwapCheckMethod::kTauBased ||
+              (method_ == SwapCheckMethod::kAuto &&
+               context.NumElements() * 2 >= relation_->NumRows()));
+  if (use_tau_) context.FillClassIndex(&class_of_);
+}
+
+bool SwapChecker::Check(int a, int b, bool opposite) {
+  FASTOD_DCHECK(context_ != nullptr);
+  const int32_t flip_base =
+      opposite ? relation_->NumDistinct(b) - 1 : int32_t{-1};
+  return use_tau_ ? CheckTauBased(a, b, flip_base)
+                  : CheckSortBased(a, b, flip_base);
+}
+
 bool SwapChecker::IsOrderCompatible(const StrippedPartition& context, int a,
                                     int b) {
   return IsOrderCompatibleDirected(context, a, b, /*opposite=*/false);
@@ -37,28 +57,13 @@ bool SwapChecker::IsOrderCompatible(const StrippedPartition& context, int a,
 
 bool SwapChecker::IsOrderCompatibleDirected(const StrippedPartition& context,
                                             int a, int b, bool opposite) {
-  const int32_t flip_base =
-      opposite ? relation_->NumDistinct(b) - 1 : int32_t{-1};
-  SwapCheckMethod method = method_;
-  if (method == SwapCheckMethod::kAuto) {
-    // τ-based scans all n tuples once; sort-based pays Σ c·log c over
-    // context classes. Prefer τ when the context still covers most of the
-    // relation and τ orders are available.
-    bool tau_viable = sorted_ != nullptr;
-    method = (tau_viable &&
-              context.NumElements() * 2 >= relation_->NumRows())
-                 ? SwapCheckMethod::kTauBased
-                 : SwapCheckMethod::kSortBased;
-  }
-  if (method == SwapCheckMethod::kTauBased && sorted_ != nullptr) {
-    return CheckTauBased(context, a, b, flip_base);
-  }
-  return CheckSortBased(context, a, b, flip_base);
+  SetContext(context);
+  return Check(a, b, opposite);
 }
 
-bool SwapChecker::CheckSortBased(const StrippedPartition& context, int a,
-                                 int b, int32_t flip_base) {
+bool SwapChecker::CheckSortBased(int a, int b, int32_t flip_base) {
   ++num_sort_checks_;
+  const StrippedPartition& context = *context_;
   const CodeColumn& ranks_a = relation_->codes(a);
   const CodeColumn& ranks_b = relation_->codes(b);
   for (int32_t c = 0; c < context.NumClasses(); ++c) {
@@ -95,13 +100,11 @@ bool SwapChecker::CheckSortBased(const StrippedPartition& context, int a,
   return true;
 }
 
-bool SwapChecker::CheckTauBased(const StrippedPartition& context, int a,
-                                int b, int32_t flip_base) {
+bool SwapChecker::CheckTauBased(int a, int b, int32_t flip_base) {
   ++num_tau_checks_;
   const CodeColumn& ranks_a = relation_->codes(a);
   const CodeColumn& ranks_b = relation_->codes(b);
-  context.FillClassIndex(&class_of_);
-  tau_states_.assign(context.NumClasses(), TauState{});
+  tau_states_.assign(context_->NumClasses(), TauState{});
   // One scan over τ_a: tuples arrive in global ascending A order, hence in
   // ascending A order within every context class as well ("hashing into
   // sorted buckets", Table 2 of the paper). The sweep state advances per

@@ -7,17 +7,21 @@
 //  * Sort-based: sort each class by the A-rank and sweep A-groups in
 //    ascending order, tracking the running maximum B-rank of strictly
 //    smaller A-groups; a swap exists iff some group contains a B-rank below
-//    that running maximum. O(Σ |class| log |class|).
+//    that running maximum. O(Σ |class| log |class|) per check.
 //
 //  * τ-based (the paper's method): precompute the sorted partition τ_A —
 //    all tuples ordered by A — once per attribute; then a single scan over
 //    τ_A "hashes tuples into sorted buckets" per context class and applies
-//    the same sweep. O(n) per check regardless of class structure.
+//    the same sweep. The bucket of a tuple comes from a class index over
+//    all n rows, filled once per context (SetContext), so a context's
+//    checks pay O(n) each for the scan and O(n) once for the index.
 //
-// The sort-based variant wins when stripped contexts are small (deep lattice
-// levels); the τ-based one when classes cover most of the relation (early
-// levels). SwapChecker::kAuto switches on coverage. bench_ablation_validation
-// quantifies the trade-off.
+// A checker is bound to one context at a time, so the many checks that
+// share a context (a lattice level's checks, grouped by context) share
+// its set-up. The sort-based variant wins when stripped contexts are small
+// (deep lattice levels); the τ-based one when classes cover most of the
+// relation (early levels). SwapChecker::kAuto switches on coverage.
+// bench_ablation_validation quantifies the trade-off.
 #ifndef FASTOD_PARTITION_SORTED_PARTITION_H_
 #define FASTOD_PARTITION_SORTED_PARTITION_H_
 
@@ -51,24 +55,31 @@ enum class SwapCheckMethod {
   kTauBased,   // single scan over τ_A
 };
 
-/// Stateless-per-call swap checker bound to an encoded relation. Thread-
-/// compatible: distinct instances may be used concurrently; a single
-/// instance reuses scratch buffers and must not be shared across threads.
+/// Swap checker bound to an encoded relation. Thread-compatible: distinct
+/// instances may be used concurrently; a single instance holds the bound
+/// context and scratch buffers and must not be shared across threads.
 class SwapChecker {
  public:
   SwapChecker(const EncodedRelation* relation,
               const SortedPartitions* sorted_partitions,
               SwapCheckMethod method = SwapCheckMethod::kAuto);
 
-  /// True iff context : A ~ B holds, i.e. no equivalence class of
-  /// `context_partition` contains a swap between attributes `a` and `b`.
+  /// Binds `context` for the Check() calls that follow: picks the method
+  /// (kAuto: τ when the context covers at least half the rows) and, for
+  /// τ, fills the class index once. `context` must outlive the binding.
+  void SetContext(const StrippedPartition& context);
+
+  /// True iff context : A ~ B holds for the bound context, i.e. no
+  /// equivalence class contains a swap between attributes `a` and `b`.
+  /// With opposite = true, checks that sorting each class by A
+  /// *ascending* sorts it by B *descending* (bidirectional extension).
+  bool Check(int a, int b, bool opposite = false);
+
+  /// One-off check: SetContext(context_partition), then Check(a, b).
   bool IsOrderCompatible(const StrippedPartition& context_partition, int a,
                          int b);
 
-  /// Directional variant (bidirectional-OD extension): with
-  /// opposite = true, checks that sorting each class by A *ascending*
-  /// sorts it by B *descending* — i.e. ascending compatibility of A with
-  /// the rank-reversed B. opposite = false is IsOrderCompatible.
+  /// One-off directional check: SetContext, then Check(a, b, opposite).
   bool IsOrderCompatibleDirected(const StrippedPartition& context_partition,
                                  int a, int b, bool opposite);
 
@@ -79,16 +90,19 @@ class SwapChecker {
  private:
   // flip_base < 0 means ascending B; otherwise B-ranks are reflected as
   // (flip_base - rank), turning descending compatibility into ascending.
-  bool CheckSortBased(const StrippedPartition& context, int a, int b,
-                      int32_t flip_base);
-  bool CheckTauBased(const StrippedPartition& context, int a, int b,
-                     int32_t flip_base);
+  bool CheckSortBased(int a, int b, int32_t flip_base);
+  bool CheckTauBased(int a, int b, int32_t flip_base);
 
   const EncodedRelation* relation_;
   const SortedPartitions* sorted_;
   SwapCheckMethod method_;
 
-  // Scratch reused across calls.
+  // The bound context and the method chosen for it.
+  const StrippedPartition* context_ = nullptr;
+  bool use_tau_ = false;
+
+  // Scratch reused across calls. class_of_ is the bound context's class
+  // index when use_tau_.
   std::vector<int32_t> class_buffer_;
   std::vector<int32_t> class_of_;
   int64_t num_sort_checks_ = 0;

@@ -134,6 +134,47 @@ StrippedPartition StrippedPartition::FromCodeColumns(
   return builder.Build();
 }
 
+StrippedPartition StrippedPartition::Refine(const CodeColumn& codes) const {
+  FASTOD_DCHECK(codes.size() == num_rows_);
+  const uint32_t* data = codes.data();
+  // Counters keyed by code, zero between classes: each class counts its
+  // codes, turns the counts into group offsets, scatters into `buffer`
+  // and resets only the codes it touched.
+  std::vector<int32_t> counts(codes.num_distinct(), 0);
+  std::vector<uint32_t> touched;
+  std::vector<int32_t> buffer;
+  PartitionBuilder builder(num_rows_);
+  for (int32_t c = 0; c < NumClasses(); ++c) {
+    const std::span<const int32_t> cls = Class(c);
+    touched.clear();
+    for (int32_t t : cls) {
+      if (counts[data[t]]++ == 0) touched.push_back(data[t]);
+    }
+    if (touched.size() == 1) {  // constant on A: the class survives whole
+      counts[touched[0]] = 0;
+      builder.AddClass(cls);
+      continue;
+    }
+    int32_t total = 0;
+    for (uint32_t v : touched) {
+      const int32_t count = counts[v];
+      counts[v] = total;
+      total += count;
+    }
+    buffer.resize(cls.size());
+    for (int32_t t : cls) buffer[counts[data[t]]++] = t;
+    // counts[v] is now the end of v's group; groups follow `touched`.
+    int32_t begin = 0;
+    for (uint32_t v : touched) {
+      builder.AddClass(std::span<const int32_t>(buffer.data() + begin,
+                                                counts[v] - begin));
+      begin = counts[v];
+      counts[v] = 0;
+    }
+  }
+  return builder.Build();
+}
+
 StrippedPartition StrippedPartition::Product(
     const StrippedPartition& other) const {
   FASTOD_DCHECK(num_rows_ == other.num_rows_);

@@ -44,13 +44,22 @@ class StrippedPartition {
   /// an LSD radix sort (one stable counting pass per column, last to
   /// first) followed by adjacent-run grouping, so classes appear in
   /// ascending lexicographic key order with ascending members. Used by
-  /// validators and one-off constructions; the level-wise algorithms use
-  /// Product() instead.
+  /// one-off constructions; the level-wise algorithms and OdValidator
+  /// grow partitions one attribute at a time with Refine() instead.
   static StrippedPartition FromCodeColumns(
       const std::vector<const CodeColumn*>& columns, int64_t num_rows);
 
-  /// The partition product Π*_{X∪Y} = Π*_X · Π*_Y (linear time, the TANE
-  /// product): intersects classes of `*this` with classes of `other`.
+  /// Π*_{X∪{A}} from Π*_X (= *this) and the code column of A: splits
+  /// every class by code. Linear in NumElements() plus one counter per
+  /// distinct code of A. Every product the lattice needs has this shape,
+  /// since Π*_{P∪{A}} · Π*_{P∪{B}} = Π*_{P∪{A}} refined by B. Each class
+  /// splits into its code groups in first-seen order; members stay
+  /// ascending.
+  StrippedPartition Refine(const CodeColumn& codes) const;
+
+  /// The general partition product Π*_{X∪Y} = Π*_X · Π*_Y (linear time,
+  /// the TANE product): intersects classes of `*this` with classes of
+  /// `other`. `Product(ForAttribute(c))` has the classes of `Refine(c)`.
   StrippedPartition Product(const StrippedPartition& other) const;
 
   int64_t num_rows() const { return num_rows_; }
@@ -112,6 +121,14 @@ class PartitionBuilder {
       result_.offsets_.push_back(
           static_cast<int32_t>(result_.elements_.size()));
     }
+  }
+  /// One whole class at once; fewer than two tuples are dropped.
+  void AddClass(std::span<const int32_t> tuples) {
+    if (tuples.size() < 2) return;
+    result_.elements_.insert(result_.elements_.end(), tuples.begin(),
+                             tuples.end());
+    result_.offsets_.push_back(
+        static_cast<int32_t>(result_.elements_.size()));
   }
 
   StrippedPartition Build() { return std::move(result_); }

@@ -405,9 +405,10 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   DiscoveryService service(1);  // one worker: reuse is observable
   Result<SessionId> id = service.Create("fastod");
   ASSERT_TRUE(id.ok());
-  // Large enough that a 50 ms budget cannot finish the lattice walk.
+  // Large enough that a 50 ms budget cannot finish the lattice walk
+  // (several hundred ms even optimized).
   ASSERT_TRUE(
-      service.LoadTable(*id, GenFlightLike(4000, 14)).ok());
+      service.LoadTable(*id, GenFlightLike(40000, 14)).ok());
   ASSERT_TRUE(service.SetOption(*id, "timeout-ms", "50").ok());
   WallTimer timer;
   ASSERT_TRUE(service.Submit(*id).ok());
