@@ -414,6 +414,18 @@ _SMOKE_CSV = """month,quarter,salary,rank
 """
 
 
+def od_counts(report: dict) -> dict[str, int]:
+    """Dependencies found per report array, e.g. {"fds": 17}.
+
+    A count-only run (emit-ods=false) leaves its arrays empty and states
+    the counts in "counts"; a listing run's counts are its array lengths.
+    """
+    if "counts" in report:
+        return dict(report["counts"])
+    return {key: len(value) for key, value in report.items()
+            if isinstance(value, list) and not key.startswith("revoked_")}
+
+
 def _mask_seconds(report: dict) -> dict:
     report = dict(report)
     if isinstance(report.get("stats"), dict):
@@ -453,6 +465,18 @@ def _smoke(csv_path: str) -> int:
                 assert "execute" in names, names
         print(f"  {algorithm}: csv-bound session done (trace: "
               f"{len(trace['spans'])} spans)")
+
+    # Count-only runs list nothing but report the same counts.
+    for algorithm in ("fastod", "tane"):
+        with Session(algorithm) as session:
+            session.set_option("emit-ods", "false")
+            session.load_csv(csv_path)
+            counted = session.execute()
+        assert od_counts(counted) == od_counts(reference[algorithm]), \
+            (algorithm, od_counts(counted))
+        assert sum(od_counts(counted).values()) > 0, counted
+        print(f"  {algorithm}: count-only run reports "
+              f"{od_counts(counted)}")
 
     # Load once, discover many: the dataset path must reproduce the
     # csv path exactly, and survives closing the handle early.

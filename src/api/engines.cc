@@ -120,6 +120,7 @@ Report FastodAlgorithm::BuildReport() const {
   report.num_constancy = result_.num_constancy;
   report.num_compatibility = result_.num_compatibility;
   report.num_bidirectional = result_.num_bidirectional;
+  report.count_only = !opts_.emit_ods;
   return report;
 }
 
@@ -174,6 +175,7 @@ Report TaneAlgorithm::BuildReport() const {
       NewReport(ReportKind::kFunctional, result_.seconds, result_.timed_out);
   report.constancy_ods = result_.fds;
   report.num_constancy = result_.num_fds;
+  report.count_only = !opts_.emit_fds;
   return report;
 }
 

@@ -87,6 +87,25 @@ std::string RenderJson(const Report& report,
   AppendStringArray(out, attributes, name);
   out += "},\n  \"stats\": {\"seconds\": " + Printf("%.6f", report.seconds) +
          ", \"timed_out\": " + (report.timed_out ? "true" : "false") + "}";
+  if (report.count_only) {
+    using std::to_string;
+    const std::string constancy =
+        to_string(Found(report.num_constancy, report.constancy_ods));
+    out += ",\n  \"counts\": {";
+    if (report.kind == ReportKind::kFunctional) {
+      out += "\"fds\": " + constancy;
+    } else {
+      FASTOD_CHECK(report.kind == ReportKind::kCanonical);
+      out += "\"constancy_ods\": " + constancy +
+             ", \"compatibility_ods\": " +
+             to_string(Found(report.num_compatibility,
+                             report.compatibility_ods)) +
+             ", \"bidirectional_ods\": " +
+             to_string(Found(report.num_bidirectional,
+                             report.bidirectional_ods));
+    }
+    out += "}";
+  }
 
   auto context = [&](AttributeSet set) {
     out += "\"context\": ";

@@ -15,6 +15,11 @@
 //     "algorithm": "fastod",
 //     "relation": {"rows": N, "attributes": [names...]},
 //     "stats": {"seconds": S, "timed_out": b},
+// then, only for a count-only run (emit-ods=false), the counts its empty
+// arrays stand for, keyed by array name:
+//     "counts": {"constancy_ods": n, "compatibility_ods": n,
+//                "bidirectional_ods": n}        (kCanonical)
+//     "counts": {"fds": n}                      (kFunctional)
 // followed by the members of its kind (one array element shown each):
 //   kCanonical
 //     "constancy_ods": [{"context": ["a","b"], "attribute": "c"}],
@@ -101,6 +106,9 @@ struct Report {
   int64_t num_constancy = 0;
   int64_t num_compatibility = 0;
   int64_t num_bidirectional = 0;
+  /// The run counted without listing (emit-ods=false): the JSON gains a
+  /// "counts" member. kCanonical and kFunctional only.
+  bool count_only = false;
 
   std::vector<ListOd> list_ods;  // kList
 

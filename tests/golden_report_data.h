@@ -416,6 +416,7 @@ inline const char kPinFastodCountOnlyJson[] = R"pin({
   "algorithm": "fastod",
   "relation": {"rows": 200, "attributes": ["year","flight_id","date_sk","month","quarter","day","carrier","origin"]},
   "stats": {"seconds": X, "timed_out": false},
+  "counts": {"constancy_ods": 22, "compatibility_ods": 8, "bidirectional_ods": 0},
   "constancy_ods": [
   ],
   "compatibility_ods": [
@@ -432,6 +433,7 @@ inline const char kPinTaneCountOnlyJson[] = R"pin({
   "algorithm": "tane",
   "relation": {"rows": 200, "attributes": ["year","flight_id","date_sk","month","quarter","day","carrier","origin"]},
   "stats": {"seconds": X, "timed_out": false},
+  "counts": {"fds": 17},
   "fds": [
   ]
 }

@@ -14,6 +14,7 @@
 
 #include "api/algorithm.h"
 #include "api/registry.h"
+#include "common/json.h"
 #include "data/csv.h"
 #include "data/table.h"
 #include "gen/generators.h"
@@ -48,11 +49,13 @@ struct Rendered {
   std::string text;
 };
 
-Rendered Render(const std::string& engine, const Table& table,
-             const Options& options) {
+// The engine after a run over `table` with `options`.
+std::unique_ptr<Algorithm> Execute(const std::string& engine,
+                                   const Table& table,
+                                   const Options& options) {
   auto algo = AlgorithmRegistry::Default().Create(engine);
   EXPECT_TRUE(algo.ok()) << engine;
-  if (!algo.ok()) return {};
+  if (!algo.ok()) return nullptr;
   for (const auto& [key, value] : options) {
     EXPECT_TRUE((*algo)->SetOption(key, value).ok())
         << engine << " --" << key << "=" << value;
@@ -60,8 +63,15 @@ Rendered Render(const std::string& engine, const Table& table,
   EXPECT_TRUE((*algo)->LoadData(table).ok()) << engine;
   Status executed = (*algo)->Execute();
   EXPECT_TRUE(executed.ok()) << engine << ": " << executed.ToString();
-  return {MaskSeconds((*algo)->ResultJson()),
-          MaskTextSeconds((*algo)->ResultText())};
+  return std::move(*algo);
+}
+
+Rendered Render(const std::string& engine, const Table& table,
+             const Options& options) {
+  std::unique_ptr<Algorithm> algo = Execute(engine, table, options);
+  if (algo == nullptr) return {};
+  return {MaskSeconds(algo->ResultJson()),
+          MaskTextSeconds(algo->ResultText())};
 }
 
 // The incremental engine re-validating the fastod report of the first
@@ -112,6 +122,35 @@ TEST(ReportPinTest, CountOnly) {
   Rendered tane = Render("tane", Flight(), {{"emit-ods", "false"}});
   EXPECT_EQ(tane.json, kPinTaneCountOnlyJson);
   EXPECT_EQ(tane.text, kPinTaneCountOnlyText);
+}
+
+// The "counts" of a count-only run equal the array sizes of the same run
+// with its ODs listed, for every engine with a count-only mode; a listing
+// run has no "counts".
+TEST(ReportPinTest, CountOnlyCountsMatchListedArrays) {
+  for (const char* engine : {"fastod", "approximate", "tane"}) {
+    std::unique_ptr<Algorithm> listing = Execute(engine, Flight(), {});
+    std::unique_ptr<Algorithm> counting =
+        Execute(engine, Flight(), {{"emit-ods", "false"}});
+    ASSERT_NE(listing, nullptr);
+    ASSERT_NE(counting, nullptr);
+    Result<JsonValue> listed = ParseJson(listing->ResultJson());
+    Result<JsonValue> counted = ParseJson(counting->ResultJson());
+    ASSERT_TRUE(listed.ok() && counted.ok()) << engine;
+    EXPECT_EQ(listed->Find("counts"), nullptr) << engine;
+    const JsonValue* counts = counted->Find("counts");
+    ASSERT_NE(counts, nullptr) << engine;
+    ASSERT_FALSE(counts->object_items().empty()) << engine;
+    for (const auto& [key, count] : counts->object_items()) {
+      const JsonValue* array = listed->Find(key);
+      ASSERT_NE(array, nullptr) << engine << " " << key;
+      EXPECT_EQ(count.int_value(),
+                static_cast<int64_t>(array->array_items().size()))
+          << engine << " " << key;
+      EXPECT_TRUE(counted->Find(key)->array_items().empty())
+          << engine << " " << key;
+    }
+  }
 }
 
 TEST(ReportPinTest, TimedOut) {
