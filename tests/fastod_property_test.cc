@@ -1,11 +1,16 @@
 // The central correctness properties of the reproduction (Theorem 8):
 // FASTOD's output is *complete* and *minimal*, verified against the
 // exhaustive brute-force oracle over many random relations; the pruning
-// rules change performance, never output; the no-pruning configuration
-// counts exactly the set of all valid non-trivial ODs.
+// rules, the swap method and the thread count change performance, never
+// output (nor, for the latter two, the per-level check counters); the
+// no-pruning configuration counts exactly the set of all valid
+// non-trivial ODs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <optional>
+#include <string>
 
 #include "algo/brute_force_discovery.h"
 #include "algo/fastod.h"
@@ -81,29 +86,60 @@ TEST_P(FastodOracleTest, NoPruningCountsAllValidOds) {
   EXPECT_EQ(got.num_compatibility, want.all_valid_compatibility);
 }
 
+// Per-level validation counters, the part that must not move with the
+// swap method or the thread count.
+std::vector<std::array<int64_t, 3>> LevelCounters(const FastodResult& r) {
+  std::vector<std::array<int64_t, 3>> counters;
+  for (const FastodLevelStats& level : r.level_stats) {
+    counters.push_back(
+        {level.constancy_checks, level.swap_checks, level.key_prune_hits});
+  }
+  return counters;
+}
+
 TEST_P(FastodOracleTest, PruningTogglesDoNotChangeOutput) {
   const TableParam& p = GetParam();
   Table t = GenRandomTable(p.rows, p.cols, p.max_domain, p.seed);
   EncodedRelation rel = Encode(t);
   FastodResult reference = Fastod().Discover(rel);
+  auto sort_all = [](FastodResult* r) {
+    std::sort(r->constancy_ods.begin(), r->constancy_ods.end());
+    std::sort(r->compatibility_ods.begin(), r->compatibility_ods.end());
+  };
+  sort_all(&reference);
 
   for (int variant = 0; variant < 3; ++variant) {
     FastodOptions opt;
     opt.level_pruning = variant != 0;
     opt.key_pruning = variant != 1;
-    opt.swap_method = variant == 2 ? SwapCheckMethod::kTauBased
-                                   : SwapCheckMethod::kSortBased;
-    FastodResult got = Fastod(opt).Discover(rel);
-    auto sort_all = [](FastodResult* r) {
-      std::sort(r->constancy_ods.begin(), r->constancy_ods.end());
-      std::sort(r->compatibility_ods.begin(), r->compatibility_ods.end());
-    };
-    sort_all(&got);
-    FastodResult ref = reference;
-    sort_all(&ref);
-    EXPECT_EQ(got.constancy_ods, ref.constancy_ods) << "variant " << variant;
-    EXPECT_EQ(got.compatibility_ods, ref.compatibility_ods)
-        << "variant " << variant;
+    // The variant's first run (sort-based, one thread) fixes the order
+    // and the counters every other method and thread count must repeat.
+    std::optional<FastodResult> first;
+    for (SwapCheckMethod method :
+         {SwapCheckMethod::kSortBased, SwapCheckMethod::kTauBased,
+          SwapCheckMethod::kAuto}) {
+      for (int threads : {1, 2, 4, 8}) {
+        opt.swap_method = method;
+        opt.num_threads = threads;
+        FastodResult got = Fastod(opt).Discover(rel);
+        const std::string where = "variant " + std::to_string(variant) +
+                                  " method " +
+                                  std::to_string(static_cast<int>(method)) +
+                                  " threads " + std::to_string(threads);
+        if (!first) {
+          first = got;
+        } else {
+          EXPECT_EQ(got.constancy_ods, first->constancy_ods) << where;
+          EXPECT_EQ(got.compatibility_ods, first->compatibility_ods)
+              << where;
+          EXPECT_EQ(LevelCounters(got), LevelCounters(*first)) << where;
+        }
+        sort_all(&got);
+        EXPECT_EQ(got.constancy_ods, reference.constancy_ods) << where;
+        EXPECT_EQ(got.compatibility_ods, reference.compatibility_ods)
+            << where;
+      }
+    }
   }
 }
 

@@ -85,6 +85,33 @@ TEST(SwapCheckerTest, MethodCountersTrackUsage) {
   EXPECT_EQ(srt.num_tau_checks(), 0);
 }
 
+TEST(SwapCheckerTest, AutoPicksTheMethodPerContext) {
+  // Rows 0-3 share ctx = 1; rows 4-7 are distinct. The universe covers
+  // every row (τ); the ctx partition covers half of them (τ, at the
+  // boundary); the partition of the all-distinct column covers none (sort).
+  auto t = ReadCsvString(
+      "ctx,a,b\n1,1,1\n1,2,2\n1,3,3\n1,4,4\n2,5,5\n3,6,6\n4,7,7\n"
+      "5,8,8\n");
+  ASSERT_TRUE(t.ok());
+  EncodedRelation rel = Encode(*t);
+  SortedPartitions sorted(rel);
+  SwapChecker checker(&rel, &sorted, SwapCheckMethod::kAuto);
+  const StrippedPartition universe = StrippedPartition::Universe(8);
+  const StrippedPartition ctx = StrippedPartition::ForAttribute(rel.codes(0));
+  const StrippedPartition key = StrippedPartition::ForAttribute(rel.codes(1));
+  checker.SetContext(universe);
+  EXPECT_TRUE(checker.Check(1, 2));
+  EXPECT_EQ(checker.num_tau_checks(), 1);
+  checker.SetContext(ctx);
+  EXPECT_TRUE(checker.Check(1, 2));
+  EXPECT_FALSE(checker.Check(1, 2, /*opposite=*/true));
+  EXPECT_EQ(checker.num_tau_checks(), 3);
+  checker.SetContext(key);
+  EXPECT_TRUE(checker.Check(1, 2, /*opposite=*/true));
+  EXPECT_EQ(checker.num_sort_checks(), 1);
+  EXPECT_EQ(checker.num_tau_checks(), 3);
+}
+
 TEST(SwapCheckerTest, WithoutTauOrdersFallsBackToSort) {
   auto t = ReadCsvString("a,b\n1,1\n2,2\n");
   ASSERT_TRUE(t.ok());
@@ -130,6 +157,44 @@ TEST_P(SwapCheckerPropertyTest, AgreesWithBruteForce) {
             << "mask=" << mask << " a=" << a << " b=" << b;
       }
     }
+  }
+}
+
+// Property: a checker bound to one context with SetContext answers every
+// Check that follows — ascending and opposite polarity, many pairs per
+// context, contexts in turn — as the definitional brute force does.
+TEST_P(SwapCheckerPropertyTest, ContextBoundChecksAgreeWithBruteForce) {
+  Table t = GenRandomTable(40, 6, 4, GetParam().seed);
+  EncodedRelation rel = Encode(t);
+  SortedPartitions sorted(rel);
+  SwapChecker checker(&rel, &sorted, GetParam().method);
+  int64_t checks = 0;
+  for (uint64_t mask = 0; mask < 8; ++mask) {  // contexts over attrs 0-2
+    AttributeSet context(mask);
+    std::vector<const CodeColumn*> columns;
+    for (int a = context.First(); a >= 0; a = context.Next(a)) {
+      columns.push_back(&rel.codes(a));
+    }
+    const StrippedPartition partition =
+        StrippedPartition::FromCodeColumns(columns, rel.NumRows());
+    checker.SetContext(partition);
+    for (int a = 0; a < 6; ++a) {
+      for (int b = 0; b < 6; ++b) {
+        if (a == b) continue;
+        EXPECT_EQ(checker.Check(a, b), BruteIsOrderCompatible(rel, context, a, b))
+            << "mask=" << mask << " a=" << a << " b=" << b;
+        EXPECT_EQ(checker.Check(a, b, /*opposite=*/true),
+                  BruteIsBidiOrderCompatible(rel, context, a, b))
+            << "mask=" << mask << " a=" << a << " b=" << b << " opposite";
+        checks += 2;
+      }
+    }
+  }
+  EXPECT_EQ(checker.num_sort_checks() + checker.num_tau_checks(), checks);
+  if (GetParam().method == SwapCheckMethod::kSortBased) {
+    EXPECT_EQ(checker.num_tau_checks(), 0);
+  } else if (GetParam().method == SwapCheckMethod::kTauBased) {
+    EXPECT_EQ(checker.num_sort_checks(), 0);
   }
 }
 
