@@ -146,6 +146,10 @@ StrippedPartition StrippedPartition::Refine(const CodeColumn& codes) const {
   PartitionBuilder builder(num_rows_);
   for (int32_t c = 0; c < NumClasses(); ++c) {
     const std::span<const int32_t> cls = Class(c);
+    if (cls.size() == 2) {  // a pair survives iff its codes agree
+      if (data[cls[0]] == data[cls[1]]) builder.AddClass(cls);
+      continue;
+    }
     touched.clear();
     for (int32_t t : cls) {
       if (counts[data[t]]++ == 0) touched.push_back(data[t]);
