@@ -32,13 +32,16 @@ SwapChecker::SwapChecker(const EncodedRelation* relation,
 
 void SwapChecker::SetContext(const StrippedPartition& context) {
   context_ = &context;
-  // τ-based scans all n tuples per check; sort-based pays Σ c·log c over
-  // context classes. Prefer τ when the context still covers most of the
-  // relation and τ orders are available.
+  // τ-based scans all n tuples per check in τ_A order, with random reads
+  // of the class index and both code columns; sort-based pays Σ c·log c
+  // over context classes with reads in class order. τ pays only when no
+  // row is a stripped singleton, i.e. the context covers every row
+  // (measured with bench_ablation_validation; a half-coverage switch was
+  // slower on flight- and ncvoter-like relations).
   use_tau_ = sorted_ != nullptr &&
              (method_ == SwapCheckMethod::kTauBased ||
               (method_ == SwapCheckMethod::kAuto &&
-               context.NumElements() * 2 >= relation_->NumRows()));
+               context.NumElements() >= relation_->NumRows()));
   if (use_tau_) context.FillClassIndex(&class_of_);
 }
 

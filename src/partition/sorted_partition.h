@@ -18,10 +18,13 @@
 //
 // A checker is bound to one context at a time, so the many checks that
 // share a context (a lattice level's checks, grouped by context) share
-// its set-up. The sort-based variant wins when stripped contexts are small
-// (deep lattice levels); the τ-based one when classes cover most of the
-// relation (early levels). SwapChecker::kAuto switches on coverage.
-// bench_ablation_validation quantifies the trade-off.
+// its set-up. The τ scan reads the class index and both code columns in
+// τ_A order, i.e. at random, for every row; the sort touches only the
+// context's elements, in class order. So the sort-based variant wins
+// whenever stripping has removed any rows, and the τ-based one only for
+// contexts that cover the whole relation (the empty context, and
+// contexts of low-cardinality attributes). SwapChecker::kAuto switches on
+// coverage; bench_ablation_validation quantifies the trade-off.
 #ifndef FASTOD_PARTITION_SORTED_PARTITION_H_
 #define FASTOD_PARTITION_SORTED_PARTITION_H_
 
@@ -65,7 +68,7 @@ class SwapChecker {
               SwapCheckMethod method = SwapCheckMethod::kAuto);
 
   /// Binds `context` for the Check() calls that follow: picks the method
-  /// (kAuto: τ when the context covers at least half the rows) and, for
+  /// (kAuto: τ when the context covers every row) and, for
   /// τ, fills the class index once. `context` must outlive the binding.
   void SetContext(const StrippedPartition& context);
 

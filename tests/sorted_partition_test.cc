@@ -87,8 +87,8 @@ TEST(SwapCheckerTest, MethodCountersTrackUsage) {
 
 TEST(SwapCheckerTest, AutoPicksTheMethodPerContext) {
   // Rows 0-3 share ctx = 1; rows 4-7 are distinct. The universe covers
-  // every row (τ); the ctx partition covers half of them (τ, at the
-  // boundary); the partition of the all-distinct column covers none (sort).
+  // every row (τ); the ctx partition covers half of them and the
+  // partition of the all-distinct column none (sort).
   auto t = ReadCsvString(
       "ctx,a,b\n1,1,1\n1,2,2\n1,3,3\n1,4,4\n2,5,5\n3,6,6\n4,7,7\n"
       "5,8,8\n");
@@ -105,11 +105,13 @@ TEST(SwapCheckerTest, AutoPicksTheMethodPerContext) {
   checker.SetContext(ctx);
   EXPECT_TRUE(checker.Check(1, 2));
   EXPECT_FALSE(checker.Check(1, 2, /*opposite=*/true));
-  EXPECT_EQ(checker.num_tau_checks(), 3);
+  EXPECT_EQ(checker.num_sort_checks(), 2);
   checker.SetContext(key);
   EXPECT_TRUE(checker.Check(1, 2, /*opposite=*/true));
-  EXPECT_EQ(checker.num_sort_checks(), 1);
-  EXPECT_EQ(checker.num_tau_checks(), 3);
+  EXPECT_EQ(checker.num_sort_checks(), 3);
+  checker.SetContext(universe);
+  EXPECT_FALSE(checker.Check(1, 2, /*opposite=*/true));
+  EXPECT_EQ(checker.num_tau_checks(), 2);
 }
 
 TEST(SwapCheckerTest, WithoutTauOrdersFallsBackToSort) {
