@@ -63,11 +63,11 @@ struct Level {
 struct SwapCheck {
   enum Verdict : uint8_t {
     kUnchecked,   // not reached: the run stopped first
+    kKeyPruned,   // superkey context (Lemma 13): valid, never minimal
     kAscending,   // A ~ B holds
     kDescending,  // only A ~ B-descending holds (bidirectional mode)
     kNeither,
   };
-  const StrippedPartition* context;  // Π*_{X\{A,B}}
   PairId pair;
   Verdict verdict = kUnchecked;
 };
@@ -220,80 +220,78 @@ class Run {
     }
   }
 
-  // Decides the level's swap checks. Checks are bucketed by context
-  // partition in first-seen order (one hash probe per check, no sort),
-  // and each work item binds one SwapChecker to one context — so a τ
-  // class index is filled once per context, not once per check. With a
-  // pool, a large bucket is split so one context cannot hold the level.
+  // Decides the level's swap checks. Checks are grouped by context in
+  // first-seen order (one hash probe per check, no sort), and each work
+  // item binds one SwapChecker to one context — so the context is looked
+  // up once, and a τ class index filled once, per context rather than
+  // per check. With a pool, a large group is cut so one context cannot
+  // hold the level.
   void RunSwapChecks(std::vector<NodeOutcome>* outcomes) {
-    std::unordered_map<const StrippedPartition*, int32_t> bucket_of;
-    std::vector<int32_t> starts;  // bucket sizes, then offsets
-    std::vector<int32_t> bucket_ids;
-    for (NodeOutcome& o : *outcomes) {
-      for (const SwapCheck& check : o.checks) {
-        auto [it, inserted] = bucket_of.try_emplace(
-            check.context, static_cast<int32_t>(starts.size()));
-        if (inserted) starts.push_back(0);
-        ++starts[it->second];
-        bucket_ids.push_back(it->second);
+    std::unordered_map<AttributeSet, size_t, AttributeSetHash> group_of;
+    std::vector<AttributeSet> contexts;
+    std::vector<std::vector<SwapCheck*>> groups;
+    size_t total = 0;
+    for (size_t i = 0; i < outcomes->size(); ++i) {
+      const AttributeSet set = current_.nodes[i].set;
+      for (SwapCheck& check : (*outcomes)[i].checks) {
+        const AttributeSet context =
+            set.Without(PairFirst(check.pair)).Without(PairSecond(check.pair));
+        auto [it, inserted] = group_of.try_emplace(context, groups.size());
+        if (inserted) {
+          contexts.push_back(context);
+          groups.emplace_back();
+        }
+        groups[it->second].push_back(&check);
+        ++total;
       }
     }
-    if (bucket_ids.empty()) return;
-    const int32_t total = static_cast<int32_t>(bucket_ids.size());
-    int32_t offset = 0;
-    for (int32_t& start : starts) {
-      const int32_t size = start;
-      start = offset;
-      offset += size;
-    }
-    std::vector<SwapCheck*> grouped(total);
-    size_t k = 0;
-    for (NodeOutcome& o : *outcomes) {
-      for (SwapCheck& check : o.checks) {
-        grouped[starts[bucket_ids[k++]]++] = &check;
-      }
-    }
-    // starts[b] is now the end of bucket b. Cut work items at bucket ends
-    // and, with a pool, every `cap` checks.
-    const int32_t cap =
-        stages_.party() > 1
-            ? std::max<int32_t>(1, total / (stages_.party() * 8))
-            : total;
-    std::vector<std::pair<int32_t, int32_t>> items;
-    int32_t begin = 0;
-    for (int32_t end : starts) {
-      for (; begin < end; begin += std::min(cap, end - begin)) {
-        items.emplace_back(begin, begin + std::min(cap, end - begin));
+    struct Item {
+      const StrippedPartition* context;
+      std::span<SwapCheck* const> checks;
+    };
+    const size_t party = static_cast<size_t>(stages_.party());
+    const size_t cap =
+        party > 1 ? std::max<size_t>(1, total / (party * 8)) : total;
+    std::vector<Item> items;
+    for (size_t g = 0; g < groups.size(); ++g) {
+      const StrippedPartition* context = &cache_.Get(contexts[g]);
+      const std::vector<SwapCheck*>& group = groups[g];
+      for (size_t i = 0; i < group.size(); i += cap) {
+        items.push_back(
+            {context, {group.data() + i, std::min(cap, group.size() - i)}});
       }
     }
     stages_.ForEach(static_cast<int64_t>(items.size()), [&](int64_t i) {
       std::unique_ptr<SwapChecker> checker = TakeChecker();
-      DecideChecks(std::span<SwapCheck* const>(
-                       grouped.data() + items[i].first,
-                       items[i].second - items[i].first),
-                   checker.get());
+      DecideChecks(*items[i].context, items[i].checks, checker.get());
       ReturnChecker(std::move(checker));
     });
   }
 
-  // Decides checks that all share one context.
-  void DecideChecks(std::span<SwapCheck* const> checks,
+  // Decides checks that all share `context`. Exact validity asks the
+  // bound checker; approximate validity (max_error > 0) the g3 error.
+  void DecideChecks(const StrippedPartition& context,
+                    std::span<SwapCheck* const> checks,
                     SwapChecker* checker) const {
-    const StrippedPartition& context = *checks.front()->context;
+    if (options_.minimality_pruning && options_.key_pruning &&
+        context.IsSuperkey()) {
+      for (SwapCheck* check : checks) check->verdict = SwapCheck::kKeyPruned;
+      return;
+    }
     const bool exact = options_.max_error <= 0.0;
     if (exact) checker->SetContext(context);
+    auto holds = [&](int a, int b, bool opposite) {
+      return exact ? checker->Check(a, b, opposite)
+                   : CompatibilityError(relation_, context, a, b,
+                                        opposite) <= options_.max_error;
+    };
     for (SwapCheck* check : checks) {
       const int a = PairFirst(check->pair);
       const int b = PairSecond(check->pair);
-      if (exact ? checker->Check(a, b)
-                : CompatibilityError(relation_, context, a, b) <=
-                      options_.max_error) {
+      if (holds(a, b, /*opposite=*/false)) {
         check->verdict = SwapCheck::kAscending;
       } else if (options_.discover_bidirectional &&
-                 (exact ? checker->Check(a, b, /*opposite=*/true)
-                        : CompatibilityError(relation_, context, a, b,
-                                             /*opposite=*/true) <=
-                              options_.max_error)) {
+                 holds(a, b, /*opposite=*/true)) {
         check->verdict = SwapCheck::kDescending;
       } else {
         check->verdict = SwapCheck::kNeither;
@@ -484,8 +482,9 @@ class Run {
     }
     if (l < 2) return;
     // --- Compatibility side: X\{A,B}: A ~ B for {A,B} ∈ Cs+(X). ---
-    // Line 18 and key pruning only read the previous level and the
-    // context, never a verdict, so the checks can be listed up front.
+    // Line 18 reads only the previous level, never a verdict, so the
+    // checks can be listed up front; key pruning (Lemma 13) is applied
+    // per context by the swap stage.
     for (PairId p : node->cs) {
       const int a = PairFirst(p);
       const int b = PairSecond(p);
@@ -496,14 +495,7 @@ class Run {
       if (!parent_xb->cc.Contains(a) || !parent_xa->cc.Contains(b)) {
         continue;  // removed from Cs+
       }
-      const StrippedPartition& context_partition =
-          cache_.Get(node->set.Without(a).Without(b));
-      if (options_.key_pruning && context_partition.IsSuperkey()) {
-        // Lemma 13: valid but never minimal — remove without emitting.
-        ++out->key_prune_hits;
-        continue;
-      }
-      out->checks.push_back(SwapCheck{&context_partition, p});
+      out->checks.push_back(SwapCheck{p});
     }
   }
 
@@ -521,8 +513,7 @@ class Run {
     if (l < 2) return;
     for (int a = set.First(); a >= 0; a = set.Next(a)) {
       for (int b = set.Next(a); b >= 0; b = set.Next(b)) {
-        out->checks.push_back(SwapCheck{
-            &cache_.Get(set.Without(a).Without(b)), MakePair(a, b)});
+        out->checks.push_back(SwapCheck{MakePair(a, b)});
       }
     }
   }
@@ -536,6 +527,10 @@ class Run {
       const int a = PairFirst(check.pair);
       const int b = PairSecond(check.pair);
       const AttributeSet context = node->set.Without(a).Without(b);
+      if (check.verdict == SwapCheck::kKeyPruned) {
+        ++o->key_prune_hits;  // removed from Cs+ without emitting
+        continue;
+      }
       if (check.verdict != SwapCheck::kUnchecked) ++o->swap_checks;
       if (check.verdict == SwapCheck::kAscending) {
         RecordCompatibility(CompatibilityOd(context, a, b), o);

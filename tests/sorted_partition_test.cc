@@ -183,7 +183,8 @@ TEST_P(SwapCheckerPropertyTest, ContextBoundChecksAgreeWithBruteForce) {
     for (int a = 0; a < 6; ++a) {
       for (int b = 0; b < 6; ++b) {
         if (a == b) continue;
-        EXPECT_EQ(checker.Check(a, b), BruteIsOrderCompatible(rel, context, a, b))
+        EXPECT_EQ(checker.Check(a, b),
+                  BruteIsOrderCompatible(rel, context, a, b))
             << "mask=" << mask << " a=" << a << " b=" << b;
         EXPECT_EQ(checker.Check(a, b, /*opposite=*/true),
                   BruteIsBidiOrderCompatible(rel, context, a, b))
