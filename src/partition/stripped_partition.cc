@@ -143,7 +143,7 @@ StrippedPartition StrippedPartition::Refine(const CodeColumn& codes) const {
   std::vector<int32_t> counts(codes.num_distinct(), 0);
   std::vector<uint32_t> touched;
   std::vector<int32_t> buffer;
-  PartitionBuilder builder(num_rows_);
+  PartitionBuilder builder(num_rows_, NumElements());
   for (int32_t c = 0; c < NumClasses(); ++c) {
     const std::span<const int32_t> cls = Class(c);
     if (cls.size() == 2) {  // a pair survives iff its codes agree

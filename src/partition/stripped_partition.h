@@ -109,7 +109,11 @@ class StrippedPartition {
 /// fewer than two tuples are dropped automatically (stripping).
 class PartitionBuilder {
  public:
-  explicit PartitionBuilder(int64_t num_rows) { result_.num_rows_ = num_rows; }
+  /// `max_elements`, when known, reserves room for every tuple up front.
+  explicit PartitionBuilder(int64_t num_rows, int64_t max_elements = 0) {
+    result_.num_rows_ = num_rows;
+    result_.elements_.reserve(max_elements);
+  }
 
   void BeginClass() { class_start_ = result_.elements_.size(); }
   void AddTuple(int32_t tuple) { result_.elements_.push_back(tuple); }
@@ -131,7 +135,14 @@ class PartitionBuilder {
         static_cast<int32_t>(result_.elements_.size()));
   }
 
-  StrippedPartition Build() { return std::move(result_); }
+  /// The partition, its arrays trimmed to their sizes: the level-wise
+  /// engines keep partitions for up to three levels, and growth slack
+  /// (up to half of each array) would stay resident with them.
+  StrippedPartition Build() {
+    result_.elements_.shrink_to_fit();
+    result_.offsets_.shrink_to_fit();
+    return std::move(result_);
+  }
 
  private:
   StrippedPartition result_;
