@@ -371,7 +371,7 @@ class Run {
         }
       }
     }
-    // Stage 3: the products, the bulk of the join's cost. Puts follow in
+    // Stage 4: the products, the bulk of the join's cost. Puts follow in
     // join order, so cache traffic is the same at every thread count.
     stages_.ForEach(static_cast<int64_t>(pending.size()), [&](int64_t i) {
       pending[i].product =
@@ -527,24 +527,26 @@ class Run {
       const int a = PairFirst(check.pair);
       const int b = PairSecond(check.pair);
       const AttributeSet context = node->set.Without(a).Without(b);
-      if (check.verdict == SwapCheck::kKeyPruned) {
-        ++o->key_prune_hits;  // removed from Cs+ without emitting
-        continue;
+      switch (check.verdict) {
+        case SwapCheck::kUnchecked:
+          remaining.push_back(check.pair);
+          break;
+        case SwapCheck::kKeyPruned:  // removed from Cs+ without emitting
+          ++o->key_prune_hits;
+          break;
+        case SwapCheck::kAscending:  // removed from Cs+ (line 22)
+          ++o->swap_checks;
+          RecordCompatibility(CompatibilityOd(context, a, b), o);
+          break;
+        case SwapCheck::kDescending:  // resolved with opposite polarity
+          o->swap_checks += 2;
+          RecordBidirectional(BidiCompatibilityOd(context, a, b), o);
+          break;
+        case SwapCheck::kNeither:
+          o->swap_checks += options_.discover_bidirectional ? 2 : 1;
+          remaining.push_back(check.pair);
+          break;
       }
-      if (check.verdict != SwapCheck::kUnchecked) ++o->swap_checks;
-      if (check.verdict == SwapCheck::kAscending) {
-        RecordCompatibility(CompatibilityOd(context, a, b), o);
-        continue;  // removed from Cs+ (line 22)
-      }
-      if (check.verdict != SwapCheck::kUnchecked &&
-          options_.discover_bidirectional) {
-        ++o->swap_checks;  // the opposite polarity was tried too
-      }
-      if (check.verdict == SwapCheck::kDescending) {
-        RecordBidirectional(BidiCompatibilityOd(context, a, b), o);
-        continue;  // pair resolved with opposite polarity
-      }
-      remaining.push_back(check.pair);
     }
     if (options_.minimality_pruning) node->cs = std::move(remaining);
     result_.num_constancy += o->num_constancy;
