@@ -83,8 +83,9 @@ struct FastodOptions {
 
   /// Number of threads, counting the caller. The lattice is walked level
   /// by level at every thread count; with more than one thread, each
-  /// per-node stage of a level (candidate sets, validation, partition
-  /// products) is spread over a private pool with ThreadPool::ParallelFor.
+  /// stage of a level (candidate sets, validation and swap checks,
+  /// partition products) is spread over a private pool with
+  /// ThreadPool::ParallelFor.
   /// Output is bit-identical across all thread counts: per-node outcomes
   /// are buffered and merged serially in node order.
   int num_threads = 1;
