@@ -4,14 +4,13 @@
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
 #include <utility>
 
 #include "algo/approximate.h"
+#include "algo/lattice_level.h"
 #include "algo/node_stages.h"
 #include "api/od_sink.h"
 #include "common/fault.h"
-#include "partition/partition_cache.h"
 
 namespace fastod {
 
@@ -39,23 +38,7 @@ struct Node {
   std::vector<PairId> cs;     // Cs+(X), sorted
 };
 
-struct Level {
-  std::vector<Node> nodes;
-  std::unordered_map<AttributeSet, int32_t, AttributeSetHash> index;
-
-  Node* Find(AttributeSet set) {
-    auto it = index.find(set);
-    return it == index.end() ? nullptr : &nodes[it->second];
-  }
-  const Node* Find(AttributeSet set) const {
-    auto it = index.find(set);
-    return it == index.end() ? nullptr : &nodes[it->second];
-  }
-  void Add(Node node) {
-    index.emplace(node.set, static_cast<int32_t>(nodes.size()));
-    nodes.push_back(std::move(node));
-  }
-};
+using Level = LatticeLevel<Node>;
 
 // One order-compatibility check X\{A,B}: A ~ B of a node. The node's
 // validation step lists it; the level's swap stage decides it together
@@ -85,6 +68,7 @@ struct NodeOutcome {
   int64_t constancy_checks = 0;
   int64_t swap_checks = 0;
   int64_t key_prune_hits = 0;
+  int64_t partitions_read = 0;
 };
 
 // The whole per-run state of one discovery, so Discover() stays const and
@@ -94,25 +78,29 @@ struct NodeOutcome {
 // candidate sets, validation, the join's partition products — is one
 // NodeStages::ForEach over the level's nodes; the swap stage is one
 // ForEach over the level's distinct check contexts. A stage writes only
-// its own node's (or check's) slot and reads the previous level and the
-// partition cache, which no stage mutates; results are merged serially,
-// in node order, on the thread that called Execute(). Emission order
-// therefore does not depend on the thread count.
+// its own node's (or check's) slot and reads the level arrays, which no
+// stage resizes; results are merged serially, in node order, on the
+// thread that called Execute(). Emission order therefore does not depend
+// on the thread count.
 class Run {
  public:
   Run(const EncodedRelation& relation, const FastodOptions& options,
       const std::vector<StrippedPartition>* singletons)
       : relation_(relation),
         options_(options),
-        singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
         sorted_(relation),
         stages_(options.num_threads, "fastod-od", options.timeout_seconds,
-                options.control) {}
+                options.control),
+        previous_(Level::Root(relation.NumRows())),
+        current_(Level::Singletons(relation, singletons)) {
+    // Cc+({}) = R, Cs+({}) = {}.
+    previous_.nodes[0].cc = full_set_;
+    result_.partition_cache_puts = previous_.NumNodes() + current_.NumNodes();
+  }
 
   FastodResult Execute() {
     WallTimer total_timer;
-    InitializeLevels();
     const int m = relation_.NumAttributes();
     int l = 1;
     while (!current_.nodes.empty()) {
@@ -120,7 +108,7 @@ class Run {
       WallTimer level_timer;
       FastodLevelStats stats;
       stats.level = l;
-      stats.nodes = static_cast<int64_t>(current_.nodes.size());
+      stats.nodes = current_.NumNodes();
       result_.total_nodes += stats.nodes;
 
       ComputeOds(l, &stats);
@@ -130,12 +118,16 @@ class Run {
         FinishLevel(level_timer, &stats);
         break;
       }
+      // The swap stage was the last reader of level l-2.
+      grandparents_ = Level();
       PruneLevels(l, &stats);
       // Skip the apriori join for a level the max_level cap would refuse
       // anyway.
       Level next;
       if (options_.max_level == 0 || l < options_.max_level) {
-        next = CalculateNextLevel(l);
+        next = current_.Join(relation_, &stages_,
+                             &result_.partition_cache_gets);
+        result_.partition_cache_puts += next.NumNodes();
       }
       FinishLevel(level_timer, &stats);
       result_.levels_processed = l;
@@ -145,9 +137,9 @@ class Run {
       // Also covers a stop during the join, which leaves `next` partial.
       if (stages_.StopRequested()) break;
 
+      grandparents_ = std::move(previous_);
       previous_ = std::move(current_);
       current_ = std::move(next);
-      cache_.EvictBelow(l - 1);
       ++l;
     }
     result_.timed_out = stages_.stop() == NodeStages::kTimedOut;
@@ -158,46 +150,18 @@ class Run {
         stages_.stop() == NodeStages::kRunning) {
       options_.control->ReportProgress(1.0);
     }
-    result_.partition_cache_gets = cache_.gets();
-    result_.partition_cache_puts = cache_.puts();
     result_.seconds = total_timer.ElapsedSeconds();
     return std::move(result_);
   }
 
  private:
-  void InitializeLevels() {
-    const int64_t n = relation_.NumRows();
-    const int m = relation_.NumAttributes();
-    // L0 = { {} } with Cc+({}) = R, Cs+({}) = {}.
-    Node root;
-    root.set = AttributeSet::Empty();
-    root.cc = full_set_;
-    previous_.Add(std::move(root));
-    cache_.Put(0, AttributeSet::Empty(), StrippedPartition::Universe(n));
-    // L1 = singletons: copied from the dataset's prebuilt partitions when
-    // available (load-once/discover-many), computed otherwise.
-    const std::vector<StrippedPartition>* prebuilt = singletons_;
-    FASTOD_DCHECK(prebuilt == nullptr ||
-                  static_cast<int>(prebuilt->size()) == m);
-    for (int a = 0; a < m; ++a) {
-      Node node;
-      node.set = AttributeSet::Single(a);
-      current_.Add(std::move(node));
-      cache_.Put(1, AttributeSet::Single(a),
-                 prebuilt != nullptr
-                     ? (*prebuilt)[a]
-                     : StrippedPartition::ForAttribute(relation_.codes(a)));
-    }
-  }
-
   // Algorithm 3: candidate-set maintenance plus validation at level l.
   void ComputeOds(int l, FastodLevelStats* stats) {
-    const int64_t num_nodes = static_cast<int64_t>(current_.nodes.size());
+    const int64_t num_nodes = current_.NumNodes();
     // Stage 1: derive Cc+ / Cs+ for every node from the previous level.
     if (options_.minimality_pruning) {
-      stages_.ForEach(num_nodes, [&](int64_t i) {
-        ComputeCandidateSets(l, &current_.nodes[i]);
-      });
+      stages_.ForEach(num_nodes,
+                      [&](int64_t i) { ComputeCandidateSets(l, i); });
     }
     // Stage 2: per node, the constancy side and the list of swap checks.
     std::vector<NodeOutcome> outcomes(num_nodes);
@@ -209,7 +173,7 @@ class Run {
         stages_.RequestStop(NodeStages::kCancelled);
         return;
       }
-      ValidateNode(l, &current_.nodes[i], &outcomes[i]);
+      ValidateNode(l, i, &outcomes[i]);
     });
     // Stage 3: every swap check of the level, grouped by context.
     RunSwapChecks(&outcomes);
@@ -220,31 +184,33 @@ class Run {
     }
   }
 
-  // Decides the level's swap checks. Checks are grouped by context in
-  // first-seen order (one hash probe per check, no sort), and each work
-  // item binds one SwapChecker to one context — so the context is looked
-  // up once, and a τ class index filled once, per context rather than
-  // per check. With a pool, a large group is cut so one context cannot
-  // hold the level.
+  // Decides the level's swap checks. The context X\{A,B} of a check is
+  // the parent of X\A without B, a node of the grandparent level, so
+  // checks are grouped by that node's index in first-seen order. Each
+  // work item binds one SwapChecker to one context — a τ class index is
+  // filled once per context rather than per check. With a pool, a large
+  // group is cut so one context cannot hold the level.
   void RunSwapChecks(std::vector<NodeOutcome>* outcomes) {
-    std::unordered_map<AttributeSet, size_t, AttributeSetHash> group_of;
-    std::vector<AttributeSet> contexts;
+    std::vector<int32_t> group_of(grandparents_.NumNodes(), -1);
+    std::vector<int32_t> contexts;
     std::vector<std::vector<SwapCheck*>> groups;
     size_t total = 0;
     for (size_t i = 0; i < outcomes->size(); ++i) {
-      const AttributeSet set = current_.nodes[i].set;
       for (SwapCheck& check : (*outcomes)[i].checks) {
-        const AttributeSet context =
-            set.Without(PairFirst(check.pair)).Without(PairSecond(check.pair));
-        auto [it, inserted] = group_of.try_emplace(context, groups.size());
-        if (inserted) {
+        const int32_t without_a =
+            current_.Parent(i, PairFirst(check.pair));
+        const int32_t context =
+            previous_.Parent(without_a, PairSecond(check.pair));
+        if (group_of[context] < 0) {
+          group_of[context] = static_cast<int32_t>(groups.size());
           contexts.push_back(context);
           groups.emplace_back();
         }
-        groups[it->second].push_back(&check);
+        groups[group_of[context]].push_back(&check);
         ++total;
       }
     }
+    result_.partition_cache_gets += static_cast<int64_t>(groups.size());
     struct Item {
       const StrippedPartition* context;
       std::span<SwapCheck* const> checks;
@@ -254,7 +220,7 @@ class Run {
         party > 1 ? std::max<size_t>(1, total / (party * 8)) : total;
     std::vector<Item> items;
     for (size_t g = 0; g < groups.size(); ++g) {
-      const StrippedPartition* context = &cache_.Get(contexts[g]);
+      const StrippedPartition* context = &grandparents_.partitions[contexts[g]];
       const std::vector<SwapCheck*>& group = groups[g];
       for (size_t i = 0; i < group.size(); i += cap) {
         items.push_back(
@@ -299,111 +265,27 @@ class Run {
     }
   }
 
-  // Algorithm 4: delete nodes whose candidate sets are both empty.
+  // Algorithm 4: delete nodes whose candidate sets are both empty. The
+  // level is compacted before the join records indices into it.
   void PruneLevels(int l, FastodLevelStats* stats) {
     if (!options_.minimality_pruning || !options_.level_pruning || l < 2) {
       return;
     }
-    Level pruned;
-    for (Node& node : current_.nodes) {
-      if (node.cc.IsEmpty() && node.cs.empty()) {
-        ++stats->nodes_pruned;
-        continue;
-      }
-      pruned.Add(std::move(node));
-    }
-    current_ = std::move(pruned);
-  }
-
-  // Algorithm 2: Apriori-style join of single-attribute-difference blocks,
-  // plus the all-subsets-present check; computes each new node's partition
-  // as the product of its two generating parents (Section 4.6), as one
-  // parent refined by the other's extra attribute.
-  Level CalculateNextLevel(int l) {
-    Level next;
-    // Block key: the node's set minus its highest attribute. Two nodes in
-    // the same block share an (l-1)-subset and differ in one attribute.
-    std::unordered_map<AttributeSet, std::vector<int32_t>, AttributeSetHash>
-        blocks;
-    for (int32_t i = 0; i < static_cast<int32_t>(current_.nodes.size());
-         ++i) {
-      AttributeSet set = current_.nodes[i].set;
-      int highest = -1;
-      for (int a = set.First(); a >= 0; a = set.Next(a)) highest = a;
-      blocks[set.Without(highest)].push_back(i);
-    }
-    // Deterministic iteration: sort block keys.
-    std::vector<AttributeSet> keys;
-    keys.reserve(blocks.size());
-    for (const auto& [key, members] : blocks) keys.push_back(key);
-    std::sort(keys.begin(), keys.end());
-    struct Pending {
-      AttributeSet parent_a;
-      AttributeSet parent_b;
-      StrippedPartition product;
-    };
-    std::vector<Pending> pending;
-    for (const AttributeSet& key : keys) {
-      std::vector<int32_t>& members = blocks[key];
-      std::sort(members.begin(), members.end(),
-                [this](int32_t x, int32_t y) {
-                  return current_.nodes[x].set < current_.nodes[y].set;
-                });
-      for (size_t i = 0; i < members.size(); ++i) {
-        for (size_t j = i + 1; j < members.size(); ++j) {
-          const AttributeSet a = current_.nodes[members[i]].set;
-          const AttributeSet b = current_.nodes[members[j]].set;
-          const AttributeSet candidate = a.Union(b);
-          if (candidate.Count() != l + 1) continue;
-          // All l-subsets must be live nodes of the current level.
-          bool all_present = true;
-          for (int x = candidate.First(); x >= 0 && all_present;
-               x = candidate.Next(x)) {
-            if (current_.Find(candidate.Without(x)) == nullptr) {
-              all_present = false;
-            }
-          }
-          if (!all_present) continue;
-          Node node;
-          node.set = candidate;
-          next.Add(std::move(node));
-          pending.push_back(Pending{a, b, {}});
-        }
-      }
-    }
-    // Stage 4: the products, the bulk of the join's cost. Puts follow in
-    // join order, so cache traffic is the same at every thread count.
-    stages_.ForEach(static_cast<int64_t>(pending.size()), [&](int64_t i) {
-      pending[i].product =
-          JoinProduct(pending[i].parent_a, pending[i].parent_b);
+    stats->nodes_pruned = current_.RemoveIf([this](int64_t i) {
+      return current_.nodes[i].cc.IsEmpty() && current_.nodes[i].cs.empty();
     });
-    for (size_t i = 0; i < pending.size(); ++i) {
-      cache_.Put(l + 1, next.nodes[i].set, std::move(pending[i].product));
-    }
-    return next;
-  }
-
-  // Π*_{A∪B} for join parents A and B, which differ in one attribute
-  // each: the parent with fewer elements, refined by the other's extra
-  // attribute.
-  StrippedPartition JoinProduct(AttributeSet a, AttributeSet b) const {
-    const StrippedPartition& pa = cache_.Get(a);
-    const StrippedPartition& pb = cache_.Get(b);
-    if (pb.NumElements() < pa.NumElements()) {
-      return pb.Refine(relation_.codes(a.Minus(b).First()));
-    }
-    return pa.Refine(relation_.codes(b.Minus(a).First()));
   }
 
   // Cc+(X) and Cs+(X) from the (l-1)-subsets (Lemma 9 / Alg. 3 line 6).
-  void ComputeCandidateSets(int l, Node* node) {
+  void ComputeCandidateSets(int l, int64_t i) {
+    Node* node = &current_.nodes[i];
+    // The k-th parent of X: X without its k-th attribute.
+    auto parent = [&](int k) -> const Node& {
+      return previous_.nodes[current_.parents[i * l + k]];
+    };
     // Cc+(X) = ∩_{A∈X} Cc+(X\A)  (Lemma 9).
     AttributeSet cc = full_set_;
-    for (int a = node->set.First(); a >= 0; a = node->set.Next(a)) {
-      const Node* parent = previous_.Find(node->set.Without(a));
-      FASTOD_DCHECK(parent != nullptr);
-      cc = cc.Intersect(parent->cc);
-    }
+    for (int k = 0; k < l; ++k) cc = cc.Intersect(parent(k).cc);
     node->cc = cc;
 
     if (l == 2) {
@@ -417,11 +299,9 @@ class Run {
     // Cs+(X) = { {A,B} ∈ ∪_{C∈X} Cs+(X\C) |
     //            ∀D ∈ X\{A,B}: {A,B} ∈ Cs+(X\D) }   (Alg. 3 line 6).
     std::vector<PairId> candidates;
-    for (int c = node->set.First(); c >= 0; c = node->set.Next(c)) {
-      const Node* parent = previous_.Find(node->set.Without(c));
-      FASTOD_DCHECK(parent != nullptr);
-      candidates.insert(candidates.end(), parent->cs.begin(),
-                        parent->cs.end());
+    for (int k = 0; k < l; ++k) {
+      candidates.insert(candidates.end(), parent(k).cs.begin(),
+                        parent(k).cs.end());
     }
     std::sort(candidates.begin(), candidates.end());
     candidates.erase(std::unique(candidates.begin(), candidates.end()),
@@ -431,35 +311,38 @@ class Run {
       const int a = PairFirst(p);
       const int b = PairSecond(p);
       bool in_all = true;
+      int k = 0;
       for (int d = node->set.First(); d >= 0 && in_all;
-           d = node->set.Next(d)) {
+           d = node->set.Next(d), ++k) {
         if (d == a || d == b) continue;
-        const Node* parent = previous_.Find(node->set.Without(d));
-        FASTOD_DCHECK(parent != nullptr);
-        if (!SortedContains(parent->cs, p)) in_all = false;
+        if (!SortedContains(parent(k).cs, p)) in_all = false;
       }
       if (in_all) kept.push_back(p);
     }
     node->cs = std::move(kept);
   }
 
-  void ValidateNode(int l, Node* node, NodeOutcome* out) {
+  void ValidateNode(int l, int64_t i, NodeOutcome* out) {
     if (options_.minimality_pruning) {
-      ValidateNodeMinimal(l, node, out);
+      ValidateNodeMinimal(l, i, out);
     } else {
-      ValidateNodeExhaustive(l, node->set, out);
+      ValidateNodeExhaustive(l, i, out);
     }
   }
 
   // The constancy side of node X, and the swap checks its Cs+ still asks
   // for; RunSwapChecks decides them and MergeOutcome applies the verdicts.
-  void ValidateNodeMinimal(int l, Node* node, NodeOutcome* out) {
-    const StrippedPartition& node_partition = cache_.Get(node->set);
+  void ValidateNodeMinimal(int l, int64_t i, NodeOutcome* out) {
+    Node* node = &current_.nodes[i];
+    const StrippedPartition& node_partition = current_.partitions[i];
+    ++out->partitions_read;
     // --- Constancy side: X\A: [] -> A for A ∈ X ∩ Cc+(X) (Lemma 7). ---
     AttributeSet fd_candidates = node->set.Intersect(node->cc);
     for (int a = fd_candidates.First(); a >= 0; a = fd_candidates.Next(a)) {
       const AttributeSet context = node->set.Without(a);
-      const StrippedPartition& context_partition = cache_.Get(context);
+      const StrippedPartition& context_partition =
+          previous_.partitions[current_.Parent(i, a)];
+      ++out->partitions_read;
       bool valid;
       if (options_.key_pruning && context_partition.IsSuperkey()) {
         valid = true;  // Lemma 12: a superkey context forces constancy.
@@ -489,10 +372,8 @@ class Run {
       const int a = PairFirst(p);
       const int b = PairSecond(p);
       // Line 18: drop pairs whose endpoints lost FD-candidacy (Propagate).
-      const Node* parent_xb = previous_.Find(node->set.Without(b));
-      const Node* parent_xa = previous_.Find(node->set.Without(a));
-      FASTOD_DCHECK(parent_xb != nullptr && parent_xa != nullptr);
-      if (!parent_xb->cc.Contains(a) || !parent_xa->cc.Contains(b)) {
+      if (!previous_.nodes[current_.Parent(i, b)].cc.Contains(a) ||
+          !previous_.nodes[current_.Parent(i, a)].cc.Contains(b)) {
         continue;  // removed from Cs+
       }
       out->checks.push_back(SwapCheck{p});
@@ -501,13 +382,17 @@ class Run {
 
   // The FASTOD-NoPruning configuration: validate every non-trivial OD at
   // this node and count all valid ones, minimal or not (Exp-5/6).
-  void ValidateNodeExhaustive(int l, AttributeSet set, NodeOutcome* out) {
-    const StrippedPartition& node_partition = cache_.Get(set);
-    for (int a = set.First(); a >= 0; a = set.Next(a)) {
-      const AttributeSet context = set.Without(a);
+  void ValidateNodeExhaustive(int l, int64_t i, NodeOutcome* out) {
+    const AttributeSet set = current_.nodes[i].set;
+    const StrippedPartition& node_partition = current_.partitions[i];
+    ++out->partitions_read;
+    int k = 0;
+    for (int a = set.First(); a >= 0; a = set.Next(a), ++k) {
       ++out->constancy_checks;
-      if (ConstancyHolds(cache_.Get(context), node_partition, a)) {
-        RecordConstancy(ConstancyOd{context, a}, out);
+      ++out->partitions_read;
+      if (ConstancyHolds(previous_.partitions[current_.parents[i * l + k]],
+                         node_partition, a)) {
+        RecordConstancy(ConstancyOd{set.Without(a), a}, out);
       }
     }
     if (l < 2) return;
@@ -558,6 +443,7 @@ class Run {
     stats->constancy_checks += o->constancy_checks;
     stats->swap_checks += o->swap_checks;
     stats->key_prune_hits += o->key_prune_hits;
+    result_.partition_cache_gets += o->partitions_read;
     if (options_.sink != nullptr) {
       for (const ConstancyOd& od : o->constancy) {
         options_.sink->OnConstancy(od);
@@ -647,13 +533,14 @@ class Run {
 
   const EncodedRelation& relation_;
   const FastodOptions& options_;
-  const std::vector<StrippedPartition>* singletons_;
   AttributeSet full_set_;
   SortedPartitions sorted_;
   NodeStages stages_;
-  PartitionCache cache_;
-  Level previous_;  // level l-1 node state (final Cc+/Cs+)
-  Level current_;   // level l
+  // Level l's swap stage reads partitions of l-2; nothing of it is read
+  // afterwards, so it is dropped before the join builds l+1.
+  Level grandparents_;  // level l-2, empty from the end of the swap stage
+  Level previous_;      // level l-1 (final Cc+/Cs+)
+  Level current_;       // level l
   FastodResult result_;
 
   std::mutex checkers_mutex_;

@@ -150,9 +150,10 @@ struct FastodResult {
   bool cancelled = false;
   int levels_processed = 0;
   int64_t total_nodes = 0;
-  /// PartitionCache traffic of the run: lookups served (gets) vs
-  /// partitions built or copied in (puts) — the reuse ratio the
-  /// observability layer reports per session.
+  /// Stripped partitions the run read (gets) and stored (puts) in its
+  /// level arrays: a read is a partition reuse, a store one the run
+  /// built or copied in — the reuse ratio the observability layer
+  /// reports per session. The names predate the level arrays.
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
   /// Parallel telemetry (num_threads > 1; all 0 at one thread). ready and

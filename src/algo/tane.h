@@ -64,7 +64,7 @@ struct TaneResult {
   bool cancelled = false;
   int levels_processed = 0;
   int64_t total_nodes = 0;
-  /// PartitionCache traffic (see FastodResult).
+  /// Partitions read and stored (see FastodResult).
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
   /// Parallel telemetry (num_threads > 1; see FastodResult): one work

@@ -183,9 +183,9 @@ std::string RenderStatsText(const obs::EngineStats& stats) {
            std::to_string(stats.candidates_checked) + " checked, " +
            std::to_string(stats.candidates_pruned) + " pruned\n";
   }
-  out += "  partition cache:  " +
-         std::to_string(stats.partition_cache_gets) + " gets, " +
-         std::to_string(stats.partition_cache_puts) + " puts\n";
+  out += "  partitions:       " +
+         std::to_string(stats.partition_cache_gets) + " read, " +
+         std::to_string(stats.partition_cache_puts) + " stored\n";
   out += "  ods emitted:      " + std::to_string(stats.ods_emitted) + "\n";
   for (const obs::LevelStats& level : stats.levels) {
     char line[160];

@@ -80,6 +80,12 @@ class AttributeSet {
     return AttributeSet(bits_ & ~other.bits_);
   }
 
+  /// Number of members below `attr`: its position in ascending order.
+  int Rank(int attr) const {
+    FASTOD_DCHECK(attr >= 0 && attr < kMaxAttributes);
+    return std::popcount(bits_ & ((uint64_t{1} << attr) - 1));
+  }
+
   /// Lowest attribute index, or -1 if empty.
   int First() const {
     return bits_ == 0 ? -1 : std::countr_zero(bits_);

@@ -271,11 +271,12 @@ void DiscoverySession::RecordObservability(SessionState terminal) {
       ->Inc(stats.ods_emitted);
   registry
       .GetCounter("fastod_partition_cache_gets_total",
-                  "PartitionCache lookups served", by_algorithm)
+                  "Stripped partitions read from the lattice levels",
+                  by_algorithm)
       ->Inc(stats.partition_cache_gets);
   registry
       .GetCounter("fastod_partition_cache_puts_total",
-                  "Partitions built or copied into the PartitionCache",
+                  "Stripped partitions stored into the lattice levels",
                   by_algorithm)
       ->Inc(stats.partition_cache_puts);
   registry

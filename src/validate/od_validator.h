@@ -16,7 +16,6 @@
 #include "od/bidirectional.h"
 #include "od/canonical_od.h"
 #include "od/list_od.h"
-#include "partition/partition_cache.h"
 #include "partition/sorted_partition.h"
 
 namespace fastod {

@@ -190,6 +190,29 @@ INSTANTIATE_TEST_SUITE_P(
         // A couple of 6-attribute lattices (64 contexts each).
         TableParam{16, 6, 3, 19}, TableParam{25, 6, 4, 20}));
 
+// 7- and 8-attribute lattices over small domains, deep enough that Lemma
+// 11 deletes nodes at level 2 or above. The join records parent indices
+// into each compacted level, so these run every check above through the
+// compaction.
+const TableParam kPrunedLattices[] = {
+    TableParam{12, 7, 2, 21}, TableParam{20, 7, 3, 22},
+    TableParam{16, 8, 2, 23}, TableParam{24, 8, 3, 24}};
+
+INSTANTIATE_TEST_SUITE_P(PrunedLattices, FastodOracleTest,
+                         ::testing::ValuesIn(kPrunedLattices));
+
+TEST(FastodPrunedLatticesTest, EveryFixtureDeletesNodesAboveLevelOne) {
+  for (const TableParam& p : kPrunedLattices) {
+    Table t = GenRandomTable(p.rows, p.cols, p.max_domain, p.seed);
+    FastodResult r = Fastod().Discover(Encode(t));
+    int64_t pruned = 0;
+    for (const FastodLevelStats& level : r.level_stats) {
+      if (level.level >= 2) pruned += level.nodes_pruned;
+    }
+    EXPECT_GT(pruned, 0) << "seed " << p.seed;
+  }
+}
+
 // Derived-column-heavy tables: planted FDs + OCDs through monotone
 // coarsening, a different distribution than the uniform tables above.
 class FastodDerivedOracleTest : public ::testing::TestWithParam<uint64_t> {};

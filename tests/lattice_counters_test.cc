@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,10 @@ const CounterPin kPins[] = {
      127,
      19},
 };
+
+// Prints the pin by name: its raw bytes hold pointers, which would put
+// addresses into the test names.
+void PrintTo(const CounterPin& pin, std::ostream* os) { *os << pin.name; }
 
 class LatticeCountersTest : public ::testing::TestWithParam<CounterPin> {};
 

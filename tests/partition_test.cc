@@ -8,7 +8,6 @@
 #include "data/csv.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
-#include "partition/partition_cache.h"
 #include "partition/stripped_partition.h"
 
 namespace fastod {
@@ -251,65 +250,6 @@ TEST(StrippedPartitionTest, RefineOfAnEmptyPartitionIsEmpty) {
     EXPECT_TRUE(refined.IsSuperkey()) << n;
     EXPECT_EQ(refined.num_rows(), n);
   }
-}
-
-TEST(PartitionCacheTest, PutGetEvict) {
-  PartitionCache cache;
-  cache.Put(0, AttributeSet::Empty(), StrippedPartition::Universe(3));
-  cache.Put(1, AttributeSet::Single(0),
-            StrippedPartition::ForAttribute({0, 0, 1}, 2));
-  EXPECT_EQ(cache.NumCached(), 2);
-  EXPECT_TRUE(cache.Contains(AttributeSet::Empty()));
-  EXPECT_EQ(cache.Get(AttributeSet::Single(0)).NumClasses(), 1);
-  cache.EvictBelow(1);
-  EXPECT_FALSE(cache.Contains(AttributeSet::Empty()));
-  EXPECT_TRUE(cache.Contains(AttributeSet::Single(0)));
-  EXPECT_EQ(cache.NumCached(), 1);
-}
-
-TEST(PartitionCacheTest, TotalElementsSums) {
-  PartitionCache cache;
-  cache.Put(0, AttributeSet::Empty(), StrippedPartition::Universe(5));
-  cache.Put(1, AttributeSet::Single(0),
-            StrippedPartition::ForAttribute({0, 0, 1, 1, 2}, 3));
-  EXPECT_EQ(cache.TotalElements(), 5 + 4);
-}
-
-TEST(PartitionCacheTest, EvictBelowOnEmptyCacheIsANoOp) {
-  PartitionCache cache;
-  cache.EvictBelow(0);
-  cache.EvictBelow(5);
-  EXPECT_EQ(cache.NumCached(), 0);
-  EXPECT_EQ(cache.TotalElements(), 0);
-  EXPECT_FALSE(cache.Contains(AttributeSet::Empty()));
-}
-
-TEST(PartitionCacheTest, TotalElementsTracksEvictionAndStripping) {
-  PartitionCache cache;
-  // Universe(1): a single row is a singleton class, stripped away — the
-  // partition contributes zero elements.
-  cache.Put(0, AttributeSet::Empty(), StrippedPartition::Universe(1));
-  EXPECT_EQ(cache.TotalElements(), 0);
-  EXPECT_EQ(cache.NumCached(), 1);
-  // {0,0,1}: one two-element class ({rows 0,1}), one stripped singleton.
-  cache.Put(1, AttributeSet::Single(0),
-            StrippedPartition::ForAttribute({0, 0, 1}, 2));
-  // All-distinct ranks: everything stripped.
-  cache.Put(1, AttributeSet::Single(1),
-            StrippedPartition::ForAttribute({0, 1, 2}, 3));
-  EXPECT_EQ(cache.TotalElements(), 2);
-
-  cache.EvictBelow(1);
-  EXPECT_EQ(cache.NumCached(), 2);
-  EXPECT_EQ(cache.TotalElements(), 2);
-  cache.EvictBelow(2);
-  EXPECT_EQ(cache.NumCached(), 0);
-  EXPECT_EQ(cache.TotalElements(), 0);
-  // Re-populating after a full eviction starts clean.
-  cache.Put(2, AttributeSet::Single(0).With(1),
-            StrippedPartition::ForAttribute({0, 0, 0, 1}, 2));
-  EXPECT_EQ(cache.NumCached(), 1);
-  EXPECT_EQ(cache.TotalElements(), 3);
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "data/csv.h"
 #include "data/encode.h"
 #include "gen/random_table.h"
@@ -131,6 +134,18 @@ struct SwapParam {
   SwapCheckMethod method;
 };
 
+// "Seed101_Sort": names the test instances and prints the parameter, so
+// neither shows SwapParam's raw bytes (padding included), which can change
+// between builds.
+std::string SwapParamName(const SwapParam& p) {
+  const char* method = "Auto";
+  if (p.method == SwapCheckMethod::kSortBased) method = "Sort";
+  if (p.method == SwapCheckMethod::kTauBased) method = "Tau";
+  return "Seed" + std::to_string(p.seed) + "_" + method;
+}
+
+void PrintTo(const SwapParam& p, std::ostream* os) { *os << SwapParamName(p); }
+
 class SwapCheckerPropertyTest : public ::testing::TestWithParam<SwapParam> {};
 
 TEST_P(SwapCheckerPropertyTest, AgreesWithBruteForce) {
@@ -208,7 +223,10 @@ INSTANTIATE_TEST_SUITE_P(
                       SwapParam{202, SwapCheckMethod::kSortBased},
                       SwapParam{202, SwapCheckMethod::kTauBased},
                       SwapParam{303, SwapCheckMethod::kAuto},
-                      SwapParam{404, SwapCheckMethod::kAuto}));
+                      SwapParam{404, SwapCheckMethod::kAuto}),
+    [](const ::testing::TestParamInfo<SwapParam>& info) {
+      return SwapParamName(info.param);
+    });
 
 }  // namespace
 }  // namespace fastod
