@@ -88,19 +88,19 @@ class Run {
       const std::vector<StrippedPartition>* singletons)
       : relation_(relation),
         options_(options),
+        singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
         sorted_(relation),
         stages_(options.num_threads, "fastod-od", options.timeout_seconds,
-                options.control),
-        previous_(Level::Root(relation.NumRows())),
-        current_(Level::Singletons(relation, singletons)) {
-    // Cc+({}) = R, Cs+({}) = {}.
-    previous_.nodes[0].cc = full_set_;
-    result_.partition_cache_puts = previous_.NumNodes() + current_.NumNodes();
-  }
+                options.control) {}
 
   FastodResult Execute() {
     WallTimer total_timer;
+    // L0 = { {} } with Cc+({}) = R, Cs+({}) = {}; L1 = the singletons.
+    previous_ = Level::Root(relation_.NumRows());
+    previous_.nodes[0].cc = full_set_;
+    current_ = Level::Singletons(relation_, singletons_);
+    result_.partition_cache_puts = previous_.NumNodes() + current_.NumNodes();
     const int m = relation_.NumAttributes();
     int l = 1;
     while (!current_.nodes.empty()) {
@@ -533,6 +533,7 @@ class Run {
 
   const EncodedRelation& relation_;
   const FastodOptions& options_;
+  const std::vector<StrippedPartition>* singletons_;
   AttributeSet full_set_;
   SortedPartitions sorted_;
   NodeStages stages_;

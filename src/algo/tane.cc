@@ -32,17 +32,17 @@ class Run {
       const std::vector<StrippedPartition>* singletons)
       : relation_(relation),
         options_(options),
+        singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
         stages_(options.num_threads, "fastod-fd", options.timeout_seconds,
-                options.control),
-        previous_(Level::Root(relation.NumRows())),
-        current_(Level::Singletons(relation, singletons)) {
-    previous_.nodes[0].cc = full_set_;
-    result_.partition_cache_puts = previous_.NumNodes() + current_.NumNodes();
-  }
+                options.control) {}
 
   TaneResult Execute() {
     WallTimer timer;
+    previous_ = Level::Root(relation_.NumRows());
+    previous_.nodes[0].cc = full_set_;
+    current_ = Level::Singletons(relation_, singletons_);
+    result_.partition_cache_puts = previous_.NumNodes() + current_.NumNodes();
     const int m = relation_.NumAttributes();
     int l = 1;
     while (!current_.nodes.empty()) {
@@ -187,6 +187,7 @@ class Run {
 
   const EncodedRelation& relation_;
   const TaneOptions& options_;
+  const std::vector<StrippedPartition>* singletons_;
   AttributeSet full_set_;
   NodeStages stages_;
   Level previous_;  // level l-1, empty from the end of validation
