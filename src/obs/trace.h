@@ -8,7 +8,7 @@
 //     the code that runs the phase;
 //   * engine stats — the lattice-search counters every engine already
 //     accumulates internally (nodes visited/pruned per level, swap/split
-//     validation calls, partition-cache traffic, ODs emitted), copied out
+//     validation calls, partitions read and stored, ODs emitted), copied out
 //     once at the end of Execute() through Algorithm::stats(), so the
 //     search hot path pays nothing beyond the counters it always kept.
 //
@@ -57,6 +57,7 @@ struct EngineStats {
   int64_t candidates_checked = 0;  // ORDER-style candidate engines
   int64_t candidates_pruned = 0;
   int64_t ods_emitted = 0;
+  /// Partitions read / stored by the lattice engines (see FastodResult).
   int64_t partition_cache_gets = 0;
   int64_t partition_cache_puts = 0;
   /// Parallel-stage counters (num_threads > 1 runs of fastod /

@@ -52,7 +52,7 @@ inline std::string MaskTextSeconds(std::string text) {
 /// Removes the ,"trace": {...} member that ends /result bodies while
 /// metrics are enabled. Traces carry wall-clock spans and
 /// source-dependent cache counters (a dataset-bound session skips the
-/// csv.parse span and seeds its partition cache), so bit-for-bit
+/// csv.parse span and copies its prebuilt level-1 partitions), so bit-for-bit
 /// comparisons of the discovery output strip the trace first.
 inline std::string StripTrace(std::string json) {
   size_t pos = json.find(",\"trace\":");
