@@ -14,8 +14,7 @@ using namespace fastod::bench;
 
 void Row(const char* dataset, const char* label,
          const EncodedRelation& rel, FastodOptions options) {
-  options.timeout_seconds = 120.0;
-  AlgoCell cell = RunFastod(rel, options);
+  AlgoCell cell = RunFastod(rel, options, 120.0);
   RecordJson(std::string("dataset=") + dataset + " config=" + label,
              cell.seconds);
   std::printf("  %-28s %-12s %s\n", label, cell.TimeString().c_str(),

@@ -54,9 +54,8 @@ int main(int argc, char** argv) {
     for (int threads : {1, 2, 4, 8}) {
       FastodOptions options;
       options.num_threads = threads;
-      options.timeout_seconds = 300.0;
       options.max_level = w.max_level;
-      AlgoCell cell = RunFastod(*rel, options);
+      AlgoCell cell = RunFastod(*rel, options, 300.0);
       if (threads == 1) serial_seconds = cell.seconds;
       double speedup = cell.seconds > 0 ? serial_seconds / cell.seconds
                                         : 0.0;

@@ -16,6 +16,7 @@
 #ifndef FASTOD_BENCH_BENCH_UTIL_H_
 #define FASTOD_BENCH_BENCH_UTIL_H_
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -26,6 +27,7 @@
 #include "algo/fastod.h"
 #include "algo/order.h"
 #include "algo/tane.h"
+#include "common/cancellation.h"
 #include "common/json.h"
 #include "common/timer.h"
 #include "data/encode.h"
@@ -175,8 +177,20 @@ struct AlgoCell {
   }
 };
 
+/// Arms `control` to stop a run `timeout_seconds` from now (0 = never);
+/// the engines flag such a run timed_out, printed as a '*' cell.
+inline void ArmTimeout(ExecutionControl* control, double timeout_seconds) {
+  using std::chrono::duration_cast;
+  control->SetDeadlineAfter(duration_cast<std::chrono::nanoseconds>(
+      std::chrono::duration<double>(timeout_seconds)));
+}
+
 inline AlgoCell RunFastod(const EncodedRelation& rel,
-                          FastodOptions options = FastodOptions()) {
+                          FastodOptions options = FastodOptions(),
+                          double timeout_seconds = 0.0) {
+  ExecutionControl control;
+  ArmTimeout(&control, timeout_seconds);
+  options.control = &control;
   options.collect_level_stats = false;
   options.emit_ods = false;
   Fastod algo(options);
@@ -190,8 +204,10 @@ inline AlgoCell RunFastod(const EncodedRelation& rel,
 }
 
 inline AlgoCell RunTane(const EncodedRelation& rel, double timeout_seconds) {
+  ExecutionControl control;
+  ArmTimeout(&control, timeout_seconds);
   TaneOptions options;
-  options.timeout_seconds = timeout_seconds;
+  options.control = &control;
   Tane algo(options);
   WallTimer timer;
   TaneResult result = algo.Discover(rel);
@@ -203,8 +219,10 @@ inline AlgoCell RunTane(const EncodedRelation& rel, double timeout_seconds) {
 }
 
 inline AlgoCell RunOrder(const EncodedRelation& rel, double timeout_seconds) {
+  ExecutionControl control;
+  ArmTimeout(&control, timeout_seconds);
   OrderOptions options;
-  options.timeout_seconds = timeout_seconds;
+  options.control = &control;
   OrderBaseline algo(options);
   WallTimer timer;
   OrderResult result = algo.Discover(rel);

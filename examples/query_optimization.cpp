@@ -7,6 +7,7 @@
 //     into date_dim replace a full join.
 //  2. Order-by simplification: ORDER BY d_year, d_quarter, d_month can use
 //     an index on (d_year, d_month) because d_month orders d_quarter.
+#include <chrono>
 #include <cstdio>
 
 #include "fastod/fastod.h"
@@ -97,8 +98,10 @@ int main() {
   }
 
   // Show what the incomplete baseline would do with the same table.
+  ExecutionControl order_deadline;
+  order_deadline.SetDeadlineAfter(std::chrono::seconds(5));
   OrderOptions order_opt;
-  order_opt.timeout_seconds = 5.0;
+  order_opt.control = &order_deadline;
   order_opt.max_level = 3;
   OrderResult order = OrderBaseline(order_opt).Discover(
       *EncodedRelation::FromTable(date_dim));

@@ -11,6 +11,7 @@
 #include "algo/node_stages.h"
 #include "api/od_sink.h"
 #include "common/fault.h"
+#include "common/timer.h"
 
 namespace fastod {
 
@@ -91,8 +92,7 @@ class Run {
         singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
         sorted_(relation),
-        stages_(options.num_threads, "fastod-od", options.timeout_seconds,
-                options.control) {}
+        stages_(options.num_threads, "fastod-od", options.control) {}
 
   FastodResult Execute() {
     WallTimer total_timer;

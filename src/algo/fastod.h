@@ -21,7 +21,6 @@
 
 #include "common/cancellation.h"
 #include "common/status.h"
-#include "common/timer.h"
 #include "data/encode.h"
 #include "data/table.h"
 #include "od/bidirectional.h"
@@ -58,10 +57,6 @@ struct FastodOptions {
 
   /// Stop after processing lattice level `max_level` (0 = no limit).
   int max_level = 0;
-
-  /// Abort after this many seconds, returning partial results flagged
-  /// timed_out (0 = no limit). Mirrors the paper's 5-hour cutoff.
-  double timeout_seconds = 0.0;
 
   /// Approximate discovery (the paper's future-work extension, algo/
   /// approximate.h): accept an OD when its g3 removal error is at most
@@ -100,9 +95,11 @@ struct FastodOptions {
   /// outlive the discovery run.
   OdSink* sink = nullptr;
 
-  /// Cooperative cancellation + progress (common/cancellation.h), polled
-  /// with the timeout deadline at every lattice node of every per-node
-  /// stage. Must outlive the run.
+  /// Cooperative cancellation, deadline and progress
+  /// (common/cancellation.h), polled at every lattice node of every
+  /// per-node stage. A passed deadline ends the run with partial results
+  /// flagged timed_out, mirroring the paper's 5-hour cutoff; a cancel
+  /// flags them cancelled. Must outlive the run.
   ExecutionControl* control = nullptr;
 
 };

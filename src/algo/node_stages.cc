@@ -1,12 +1,12 @@
 #include "algo/node_stages.h"
 
+#include "common/timer.h"
+
 namespace fastod {
 
 NodeStages::NodeStages(int num_threads, const char* pool_name,
-                       double timeout_seconds, ExecutionControl* control)
-    : deadline_(timeout_seconds > 0.0 ? Deadline::After(timeout_seconds)
-                                      : Deadline::Infinite()),
-      control_(control) {
+                       ExecutionControl* control)
+    : control_(control) {
   if (num_threads > 1) {
     pool_ = std::make_unique<ThreadPool>(num_threads - 1, pool_name);
   }
@@ -29,13 +29,8 @@ void NodeStages::ForEach(int64_t count,
 
 bool NodeStages::StopRequested() {
   if (stop_.load(std::memory_order_relaxed) != kRunning) return true;
-  if (deadline_.Exceeded()) {
-    RequestStop(kTimedOut);
-  } else if (control_ != nullptr && control_->StopRequested()) {
-    RequestStop(kCancelled);
-  } else {
-    return false;
-  }
+  if (control_ == nullptr || !control_->StopRequested()) return false;
+  RequestStop(control_->DeadlineExceeded() ? kTimedOut : kCancelled);
   return true;
 }
 

@@ -6,9 +6,9 @@
 // one loop over the level's nodes, then merge the per-node results
 // serially in node order. NodeStages owns what those loops share: the
 // engine's private thread pool (none at one thread), the stop protocol
-// (soft timeout plus the ExecutionControl's cancel and hard deadline,
-// polled at every node of every stage), and the node-time telemetry
-// behind the per-level occupancy stat.
+// (the ExecutionControl's deadline and cancel, polled at every node of
+// every stage), and the node-time telemetry behind the per-level
+// occupancy stat.
 #ifndef FASTOD_ALGO_NODE_STAGES_H_
 #define FASTOD_ALGO_NODE_STAGES_H_
 
@@ -19,7 +19,6 @@
 
 #include "common/cancellation.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
 
 namespace fastod {
 
@@ -29,9 +28,8 @@ class NodeStages {
 
   /// `num_threads` counts the caller; above 1 a pool of num_threads - 1
   /// workers named "<pool_name>-<i>" lives as long as this object.
-  /// `timeout_seconds` <= 0 means no soft timeout; `control` may be null
-  /// and must outlive this object.
-  NodeStages(int num_threads, const char* pool_name, double timeout_seconds,
+  /// `control` may be null and must outlive this object.
+  NodeStages(int num_threads, const char* pool_name,
              ExecutionControl* control);
 
   /// Runs body(i) for every i in [0, count): on the pool with
@@ -42,8 +40,8 @@ class NodeStages {
   void ForEach(int64_t count, const std::function<void(int64_t)>& body);
 
   /// True once the run must stop. Until a stop is recorded, each call
-  /// polls the soft timeout (recorded as kTimedOut) and the control
-  /// (kCancelled). Safe from any thread.
+  /// polls the control: a passed deadline is recorded as kTimedOut, a
+  /// cancel as kCancelled. Safe from any thread.
   bool StopRequested();
 
   /// Records `reason` unless a stop is already recorded. Safe from any
@@ -60,7 +58,6 @@ class NodeStages {
   double TakeBusySeconds() { return busy_seconds_.exchange(0.0); }
 
  private:
-  Deadline deadline_;
   ExecutionControl* control_;
   std::unique_ptr<ThreadPool> pool_;  // null at one thread
   std::atomic<int> stop_{kRunning};

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "api/od_sink.h"
+#include "common/timer.h"
 #include "od/mapping.h"
 #include "validate/od_validator.h"
 
@@ -31,10 +32,7 @@ class Run {
       const std::vector<StrippedPartition>* singletons)
       : relation_(relation),
         options_(options),
-        validator_(&relation, singletons),
-        deadline_(options.timeout_seconds > 0.0
-                      ? Deadline::After(options.timeout_seconds)
-                      : Deadline::Infinite()) {}
+        validator_(&relation, singletons) {}
 
   OrderResult Execute() {
     WallTimer timer;
@@ -49,9 +47,9 @@ class Run {
       result_.total_nodes += static_cast<int64_t>(level.size());
       for (ListNode& node : level) {
         ProcessNode(&node);
-        if (result_.timed_out) break;
+        if (stopped()) break;
       }
-      if (result_.timed_out) break;
+      if (stopped()) break;
       result_.levels_processed = l;
       // Extend surviving nodes with every absent attribute (all
       // permutations one longer — the factorial frontier).
@@ -71,19 +69,11 @@ class Run {
         options_.control->ReportProgress(static_cast<double>(l) / m);
       }
       ++l;
-      if (deadline_.Exceeded()) {
-        result_.timed_out = true;
-        break;
-      }
-      if (options_.control != nullptr && options_.control->StopRequested()) {
-        result_.cancelled = true;
-        break;
-      }
+      if (PollStop()) break;
     }
     // Early exits keep the last level's fraction; only a clean finish
     // reports 100%.
-    if (options_.control != nullptr && !result_.timed_out &&
-        !result_.cancelled) {
+    if (options_.control != nullptr && !stopped()) {
       options_.control->ReportProgress(1.0);
     }
     result_.seconds = timer.ElapsedSeconds();
@@ -107,12 +97,23 @@ class Run {
       // child nodes do); swaps are permanent. Valid candidates keep the
       // subtree alive as well (their extensions may reveal longer ODs).
       if (fate != CandidateFate::kSwapDead) any_alive = true;
-      if ((++checks_since_poll_ & 0xff) == 0 && deadline_.Exceeded()) {
-        result_.timed_out = true;
-        return;
-      }
+      if (PollStop()) return;
     }
     if (options_.enable_pruning) node->extend = any_alive;
+  }
+
+  bool stopped() const { return result_.timed_out || result_.cancelled; }
+
+  // Polls the control; a stop is recorded in the result by its reason.
+  bool PollStop() {
+    ExecutionControl* control = options_.control;
+    if (control == nullptr || !control->StopRequested()) return false;
+    if (control->DeadlineExceeded()) {
+      result_.timed_out = true;
+    } else {
+      result_.cancelled = true;
+    }
+    return true;
   }
 
   enum class CandidateFate { kValid, kImplied, kSplitDead, kSwapDead };
@@ -212,11 +213,9 @@ class Run {
   const EncodedRelation& relation_;
   const OrderOptions& options_;
   OdValidator validator_;
-  Deadline deadline_;
   OdSet swapped_;
   OdSet split_failed_;
   OdSet valid_;
-  int64_t checks_since_poll_ = 0;
   OrderResult result_;
 };
 

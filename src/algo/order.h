@@ -26,7 +26,6 @@
 
 #include "common/cancellation.h"
 #include "common/status.h"
-#include "common/timer.h"
 #include "data/encode.h"
 #include "data/table.h"
 #include "od/list_od.h"
@@ -37,9 +36,6 @@ namespace fastod {
 class OdSink;
 
 struct OrderOptions {
-  /// Abort after this many seconds (0 = no limit) — the paper aborts ORDER
-  /// runs at 5 hours ("* 5h").
-  double timeout_seconds = 0.0;
   /// Stop after lattice level `max_level` (list length; 0 = no limit).
   int max_level = 0;
   /// Disable the swap/split pruning rules. The paper reports that with
@@ -51,7 +47,10 @@ struct OrderOptions {
   /// the result vector is still populated, because ORDER consults it for
   /// its list-minimality (implication) checks.
   OdSink* sink = nullptr;
-  /// Cooperative cancellation + progress, polled at level boundaries.
+  /// Cooperative cancellation, deadline and progress, polled after every
+  /// candidate check and at level ends. A passed deadline ends the run
+  /// with partial results flagged timed_out — the paper aborts ORDER runs
+  /// at 5 hours ("* 5h"); a cancel flags them cancelled.
   ExecutionControl* control = nullptr;
 };
 

@@ -7,6 +7,7 @@
 #include "algo/node_stages.h"
 #include "api/od_sink.h"
 #include "common/fault.h"
+#include "common/timer.h"
 #include "od/attribute_set.h"
 
 namespace fastod {
@@ -34,8 +35,7 @@ class Run {
         options_(options),
         singletons_(singletons),
         full_set_(AttributeSet::FullSet(relation.NumAttributes())),
-        stages_(options.num_threads, "fastod-fd", options.timeout_seconds,
-                options.control) {}
+        stages_(options.num_threads, "fastod-fd", options.control) {}
 
   TaneResult Execute() {
     WallTimer timer;

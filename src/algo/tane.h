@@ -16,7 +16,6 @@
 
 #include "common/cancellation.h"
 #include "common/status.h"
-#include "common/timer.h"
 #include "data/encode.h"
 #include "data/table.h"
 #include "od/canonical_od.h"
@@ -27,8 +26,6 @@ namespace fastod {
 class OdSink;
 
 struct TaneOptions {
-  /// Abort after this many seconds (0 = no limit).
-  double timeout_seconds = 0.0;
   /// Stop after lattice level `max_level` (0 = no limit).
   int max_level = 0;
   /// Keep discovered FDs in the result vector (true) or only count them
@@ -39,8 +36,9 @@ struct TaneOptions {
   /// emit_fds, so a run can stream and still render its full report.
   /// Must outlive the run.
   OdSink* sink = nullptr;
-  /// Cooperative cancellation + progress, polled with the timeout at
-  /// every lattice node of every per-node stage.
+  /// Cooperative cancellation, deadline and progress, polled at every
+  /// lattice node of every per-node stage; a passed deadline flags the
+  /// partial result timed_out.
   ExecutionControl* control = nullptr;
   /// Number of threads, counting the caller. The lattice is walked level
   /// by level at every thread count; with more than one thread, each

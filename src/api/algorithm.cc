@@ -1,11 +1,21 @@
 #include "api/algorithm.h"
 
+#include <algorithm>
+#include <chrono>
 #include <limits>
 #include <utility>
 
 #include "common/timer.h"
 
 namespace fastod {
+
+namespace {
+
+// Budgets past about 31 years are as good as none; the clamp keeps the
+// nanosecond count in range.
+constexpr double kMaxBudgetSeconds = 1e9;
+
+}  // namespace
 
 Algorithm::Algorithm(std::string name, std::string description)
     : name_(std::move(name)), description_(std::move(description)) {
@@ -18,6 +28,12 @@ Algorithm::Algorithm(std::string name, std::string description)
                     "hard deadline in milliseconds; exceeding it fails "
                     "the run with DeadlineExceeded (0 = none)",
                     0, std::numeric_limits<int64_t>::max());
+}
+
+void Algorithm::AddTimeoutOption() {
+  options_.AddDouble("timeout", &timeout_s_,
+                     "abort after this many seconds (0 = none)", 0.0,
+                     std::numeric_limits<double>::max());
 }
 
 Status Algorithm::LoadData(Table table) {
@@ -59,20 +75,21 @@ Status Algorithm::Execute() {
     return Status::FailedPrecondition(
         "Execute() requires LoadData() first (algorithm '" + name_ + "')");
   }
-  // (Re)arm the hard deadline for this run; 0 disarms. Going through the
-  // attached ExecutionControl lets engines honor it at the cancellation
-  // safepoints; the local Deadline backstops runs with no control.
-  Deadline local = timeout_ms_ > 0
-                       ? Deadline::After(timeout_ms_ / 1000.0)
-                       : Deadline::Infinite();
-  if (control_ != nullptr) control_->SetDeadlineAfterMillis(timeout_ms_);
+  // (Re)arm the control's one deadline for this run at the earlier
+  // budget; 0 disarms. The engines stop at it either way; only a hard
+  // deadline turns the stop into an error (a tie goes to the hard one).
+  const double hard_seconds = timeout_ms_ / 1000.0;
+  const bool hard =
+      timeout_ms_ > 0 && (timeout_s_ <= 0.0 || hard_seconds <= timeout_s_);
+  const double budget =
+      std::min(hard ? hard_seconds : timeout_s_, kMaxBudgetSeconds);
+  control_->SetDeadlineAfter(std::chrono::ceil<std::chrono::nanoseconds>(
+      std::chrono::duration<double>(budget)));
   stats_ = obs::EngineStats();
   WallTimer timer;
   Status status = ExecuteInternal();
   execute_seconds_ = timer.ElapsedSeconds();
-  if (status.ok() && timeout_ms_ > 0 &&
-      (control_ != nullptr ? control_->DeadlineExceeded()
-                           : local.Exceeded())) {
+  if (status.ok() && hard && control_->DeadlineExceeded()) {
     status = Status::DeadlineExceeded(
         "run exceeded timeout-ms=" + std::to_string(timeout_ms_) +
         " (algorithm '" + name_ + "')");

@@ -14,7 +14,11 @@
 // and can generate usage/help text from metadata. Output can stream
 // through an OdSink (api/od_sink.h) instead of materializing; long runs
 // can be cancelled and report coarse progress through an ExecutionControl.
-// Wall-clock time of both lifecycle phases is accounted on the object.
+// That control is also the run's one clock: Execute() arms its deadline
+// from the soft `timeout` option (the partial result is flagged
+// timed_out) or the hard `timeout-ms` option (the run fails with
+// kDeadlineExceeded), whichever is earlier. Wall-clock time of both
+// lifecycle phases is accounted on the object.
 //
 // Threading: an Algorithm object is single-driver — exactly one thread
 // may move it through the lifecycle (SetOption → LoadData → Execute →
@@ -107,8 +111,9 @@ class Algorithm {
 
   /// Runs the engine on the loaded data. Requires LoadData; may be called
   /// again after reconfiguring with SetOption. Cancellation (through the
-  /// attached ExecutionControl) is not an error: engines stop cleanly and
-  /// report partial results.
+  /// attached ExecutionControl) and the soft `timeout` are not errors:
+  /// engines stop cleanly and report partial results. Passing a
+  /// `timeout-ms` deadline is: the run returns kDeadlineExceeded.
   Status Execute();
   bool executed() const { return executed_; }
 
@@ -132,8 +137,13 @@ class Algorithm {
   /// RequestCancel/StopRequested are safe from any thread at any time.
   /// The level-wise engines (fastod, tane) poll it before every lattice
   /// node of every per-node stage, at every thread count, so a stop is
-  /// observed within one lattice node.
-  void SetControl(ExecutionControl* control) { control_ = control; }
+  /// observed within one lattice node; order polls it after every
+  /// candidate check. Execute() re-arms its deadline on every run.
+  /// Without one (or after SetControl(nullptr)) the algorithm uses a
+  /// private control, so the deadlines hold either way.
+  void SetControl(ExecutionControl* control) {
+    control_ = control != nullptr ? control : &own_control_;
+  }
 
   // ---- Results ------------------------------------------------------
   /// The last Execute()'s result as the one report model of
@@ -159,6 +169,9 @@ class Algorithm {
 
   /// Subclasses register their options here, in their constructor.
   OptionRegistry& options() { return options_; }
+  /// Registers the soft "timeout" option, for engines whose partial
+  /// result is meaningful (the level-wise engines and order).
+  void AddTimeoutOption();
 
   /// Engine invocation; data is loaded and the wall clock is running.
   virtual Status ExecuteInternal() = 0;
@@ -179,6 +192,7 @@ class Algorithm {
     return dataset_ != nullptr ? &dataset_->singleton_partitions() : nullptr;
   }
   OdSink* sink() const { return sink_; }
+  /// The attached control, or the private one; never null.
   ExecutionControl* control() const { return control_; }
 
   /// Where ExecuteInternal() deposits the run's search telemetry
@@ -192,12 +206,14 @@ class Algorithm {
   std::optional<EncodedRelation> relation_;
   std::shared_ptr<const LoadedDataset> dataset_;
   OdSink* sink_ = nullptr;
-  ExecutionControl* control_ = nullptr;
-  // Hard wall-clock deadline for Execute() (the "timeout-ms" option every
-  // engine inherits): exceeding it is a kDeadlineExceeded *error*, unlike
-  // the engines' own soft "timeout" option, which ends a run cleanly with
-  // timed_out=true in the report. 0 = none.
+  ExecutionControl own_control_;
+  ExecutionControl* control_ = &own_control_;
+  // The two budgets Execute() arms the control's deadline from. The hard
+  // "timeout-ms" (every engine) makes a passed deadline a
+  // kDeadlineExceeded *error*; the soft "timeout" (AddTimeoutOption)
+  // ends the run cleanly with timed_out=true in the report. 0 = none.
   int64_t timeout_ms_ = 0;
+  double timeout_s_ = 0.0;
   obs::EngineStats stats_;
   bool executed_ = false;
   double load_seconds_ = 0.0;

@@ -12,8 +12,6 @@ namespace fastod {
 
 namespace {
 
-constexpr double kNoLimit = std::numeric_limits<double>::max();
-
 FastodOptions ApproximateDefaults() {
   FastodOptions defaults;
   defaults.max_error = 0.01;
@@ -71,10 +69,7 @@ FastodAlgorithm::FastodAlgorithm(std::string name, std::string description,
       swap_method_choice_(static_cast<int>(defaults.swap_method)) {
   options().AddInt("threads", &opts_.num_threads,
                    "worker threads for intra-level parallelism", 1, 1024);
-  options().AddAlias("threads", "num-threads");
-  options().AddDouble("timeout", &opts_.timeout_seconds,
-                      "abort after this many seconds (0 = none)", 0.0,
-                      kNoLimit);
+  AddTimeoutOption();
   options().AddInt("max-level", &opts_.max_level,
                    "stop after lattice level L (0 = none)", 0, 64);
   options().AddDouble("max-error", &opts_.max_error,
@@ -140,17 +135,12 @@ TaneAlgorithm::TaneAlgorithm()
                 "comparator)") {
   options().AddInt("threads", &opts_.num_threads,
                    "worker threads for intra-level parallelism", 1, 1024);
-  options().AddAlias("threads", "num-threads");
-  options().AddDouble("timeout", &opts_.timeout_seconds,
-                      "abort after this many seconds (0 = none)", 0.0,
-                      kNoLimit);
+  AddTimeoutOption();
   options().AddInt("max-level", &opts_.max_level,
                    "stop after lattice level L (0 = none)", 0, 64);
-  // Canonical name matches fastod's "emit-ods"; the historical
-  // "emit-fds" spelling survives as a deprecated alias.
+  // Named after fastod's "emit-ods", though it materializes FDs.
   options().AddBool("emit-ods", &opts_.emit_fds,
                     "materialize FDs (false = count only)");
-  options().AddAlias("emit-ods", "emit-fds");
 }
 
 Status TaneAlgorithm::ExecuteInternal() {
@@ -185,9 +175,7 @@ OrderAlgorithm::OrderAlgorithm()
     : Algorithm("order",
                 "ORDER (Langer & Naumann): list-based baseline, incomplete "
                 "by Section 4.5 (the Exp-3 comparator)") {
-  options().AddDouble("timeout", &opts_.timeout_seconds,
-                      "abort after this many seconds (0 = none)", 0.0,
-                      kNoLimit);
+  AddTimeoutOption();
   options().AddInt("max-level", &opts_.max_level,
                    "stop after list length L (0 = none)", 0, 64);
   options().AddBool("pruning", &opts_.enable_pruning,

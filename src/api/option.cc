@@ -1,33 +1,13 @@
 #include "api/option.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <utility>
 
-#include "common/macros.h"
 #include "common/string_util.h"
-#include "obs/metrics.h"
 
 namespace fastod {
 
 namespace {
-
-/// The historical option surface drifted between hyphen and underscore
-/// spellings; hyphens are canonical now, underscores resolve via this.
-std::string Hyphenated(const std::string& name) {
-  std::string out = name;
-  std::replace(out.begin(), out.end(), '_', '-');
-  return out;
-}
-
-void CountDeprecatedUse(const std::string& spelling) {
-  if (!obs::Enabled()) return;
-  obs::Registry::Global()
-      .GetCounter("fastod_deprecated_option_total",
-                  "Uses of deprecated option spellings (by alias)",
-                  {{"name", spelling}})
-      ->Inc();
-}
 
 std::string RenderDouble(double v) {
   char buf[48];
@@ -117,7 +97,8 @@ void OptionRegistry::AddDouble(const std::string& name, double* target,
       [name, target, min_value, max_value](const std::string& value) {
         std::optional<double> parsed = ParseDouble(value);
         if (!parsed.has_value()) return BadValue(name, value, "a number");
-        if (*parsed < min_value || *parsed > max_value) {
+        // Written so that NaN, which compares false, is out of range.
+        if (!(*parsed >= min_value && *parsed <= max_value)) {
           return BadValue(name, value,
                           "a number in [" + RenderDouble(min_value) + ", " +
                               RenderDouble(max_value) + "]");
@@ -164,39 +145,9 @@ void OptionRegistry::AddEnum(const std::string& name, int* target,
       });
 }
 
-void OptionRegistry::AddAlias(const std::string& canonical,
-                              const std::string& alias) {
-  for (Option& option : options_) {
-    if (option.info.name == canonical) {
-      option.info.aliases.push_back(alias);
-      return;
-    }
-  }
-  FASTOD_CHECK(false && "AddAlias: canonical option not registered");
-}
-
 Status OptionRegistry::Set(const std::string& name, const std::string& value) {
   for (Option& option : options_) {
     if (option.info.name == name) return option.apply(value);
-  }
-  // Deprecated spellings: registered aliases, then the underscore form of
-  // the canonical name or an alias. Each hit is counted by the spelling
-  // the caller actually used.
-  const std::string hyphenated = Hyphenated(name);
-  for (Option& option : options_) {
-    const OptionInfo& info = option.info;
-    bool match =
-        std::find(info.aliases.begin(), info.aliases.end(), name) !=
-        info.aliases.end();
-    if (!match && hyphenated != name) {
-      match = info.name == hyphenated ||
-              std::find(info.aliases.begin(), info.aliases.end(),
-                        hyphenated) != info.aliases.end();
-    }
-    if (match) {
-      CountDeprecatedUse(name);
-      return option.apply(value);
-    }
   }
   std::string known;
   for (size_t i = 0; i < options_.size(); ++i) {
@@ -235,9 +186,6 @@ std::string OptionRegistry::Describe() const {
     std::string line = "  --" + info.name + "=<" + type + ">";
     if (line.size() < 34) line.append(34 - line.size(), ' ');
     line += " " + info.description + " (default: " + info.default_repr + ")";
-    for (const std::string& alias : info.aliases) {
-      line += " [alias: --" + alias + "]";
-    }
     out += line + "\n";
   }
   return out;

@@ -44,7 +44,7 @@
 /* Library version this header was generated with; compare against
  * fastod_version_string() to detect header/library skew. */
 #define FASTOD_VERSION_MAJOR 0
-#define FASTOD_VERSION_MINOR 7
+#define FASTOD_VERSION_MINOR 8
 #define FASTOD_VERSION_PATCH 0
 
 /* Error codes. 1..6 and 8..10 mirror fastod::StatusCode; 7 flags misuse
@@ -121,19 +121,15 @@ void fastod_destroy(fastod_session_t* session);
  * malformed or out-of-range values fail, naming the option in
  * fastod_last_error(). Only valid before execution is scheduled.
  *
- * Names are matched against the canonical hyphenated spelling first
- * ("emit-ods"), then against registered deprecated aliases ("emit-fds")
- * and underscore spellings ("emit_ods"). Non-canonical spellings keep
- * working but are counted in the fastod_deprecated_option_total metric;
- * new code should send the canonical name reported by
- * fastod_option_name(). */
+ * Each option has exactly one spelling, the hyphenated name reported by
+ * fastod_option_name() ("emit-ods"). Since 0.8.0 any other spelling
+ * ("emit-fds", "emit_ods") is an unknown option. */
 int fastod_set_option(fastod_session_t* session, const char* name,
                       const char* value);
 
 /* ---- Option introspection ------------------------------------------ */
 
-/* Number of options the session's algorithm accepts. Deprecated aliases
- * are not separate options; only canonical names are enumerated. */
+/* Number of options the session's algorithm accepts. */
 int fastod_option_count(const fastod_session_t* session);
 /* Metadata of the index-th option (registration order). Name/description/
  * default return NULL and kind returns -1 when the index is out of

@@ -1,25 +1,29 @@
 // Cooperative cancellation, deadlines, and progress reporting for long
 // discovery runs.
 //
-// An ExecutionControl is shared between a caller (typically through
-// api/algorithm.h) and a running engine: the caller flips the cancel flag
-// (or arms a monotonic deadline) from another thread, the engine polls
-// StopRequested() at its safepoints — every lattice node for fastod and
-// tane — where one check covers both stop reasons, and aborts cleanly
-// with partial results. Progress flows the
-// other way: engines report a coarse [0, 1] fraction (lattice level over
-// attribute count) that frontends may display.
+// An ExecutionControl is the one way an engine learns that it must stop.
+// It is shared between a caller (typically through api/algorithm.h) and a
+// running engine: the caller flips the cancel flag (or arms a monotonic
+// deadline) from another thread, and the engine polls StopRequested() at
+// its safepoints — every lattice node for fastod and tane, every
+// candidate check and level end for order — where one check covers both
+// stop reasons, and stops cleanly with partial results.
+// Progress flows the other way: engines report a coarse [0, 1] fraction
+// (lattice level over attribute count) that frontends may display.
 //
-// Cancellation and deadline expiry are deliberately distinguishable
-// after the stop: cancellation is a clean early exit (partial results
-// kept), while a passed deadline is an error the session layer reports
-// as kDeadlineExceeded.
+// The two stop reasons stay distinguishable: engines flag a deadline stop
+// timed_out and a cancel cancelled. What a passed deadline means is the
+// caller's business: Algorithm::Execute arms it from either the soft
+// `timeout` option (the partial result is the answer, flagged timed_out)
+// or the hard `timeout-ms` option (the run fails with kDeadlineExceeded).
 #ifndef FASTOD_COMMON_CANCELLATION_H_
 #define FASTOD_COMMON_CANCELLATION_H_
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <limits>
 
 namespace fastod {
 
@@ -37,15 +41,19 @@ class ExecutionControl {
     return cancel_.load(std::memory_order_relaxed);
   }
 
-  /// Arms a monotonic deadline `millis` from now (non-positive disarms).
+  /// Arms a monotonic deadline `after` from now (non-positive disarms;
+  /// an arm beyond the clock's range saturates). Nanosecond resolution, so
+  /// a sub-microsecond budget has expired by the engine's first poll.
   /// Engines observe it through StopRequested()/DeadlineExceeded() at the
   /// same safepoints as cancellation.
-  void SetDeadlineAfterMillis(int64_t millis) {
-    if (millis <= 0) {
+  void SetDeadlineAfter(std::chrono::nanoseconds after) {
+    if (after.count() <= 0) {
       deadline_ns_.store(0, std::memory_order_relaxed);
       return;
     }
-    deadline_ns_.store(NowNanos() + millis * 1'000'000,
+    const int64_t now = NowNanos();
+    const int64_t headroom = std::numeric_limits<int64_t>::max() - now;
+    deadline_ns_.store(now + std::min(after.count(), headroom),
                        std::memory_order_relaxed);
   }
 

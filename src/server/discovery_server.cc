@@ -642,12 +642,6 @@ void DiscoveryServer::HandleAlgorithms(HttpResponseWriter& writer) {
         for (const std::string& value : info->enum_values) w.String(value);
         w.EndArray();
       }
-      if (!info->aliases.empty()) {
-        // Deprecated back-compat spellings; clients should send "name".
-        w.Key("aliases").BeginArray();
-        for (const std::string& alias : info->aliases) w.String(alias);
-        w.EndArray();
-      }
       w.EndObject();
     }
     w.EndArray().EndObject();

@@ -60,6 +60,8 @@ TEST(OptionRegistryTest, TypedParseFailures) {
   EXPECT_FALSE(algo.SetOption("threads", "0").ok());
   EXPECT_FALSE(algo.SetOption("max-error", "1.5").ok());
   EXPECT_FALSE(algo.SetOption("max-level", "-3").ok());
+  EXPECT_FALSE(algo.SetOption("timeout", "nan").ok());
+  EXPECT_FALSE(algo.SetOption("max-error", "nan").ok());
   // A failed set leaves the previous value intact.
   EXPECT_EQ(algo.discovery_options().num_threads, 1);
 }
@@ -112,30 +114,36 @@ TEST(OptionRegistryTest, DescribeOptionsSnapshot) {
             "milliseconds; exceeding it fails the run with DeadlineExceeded "
             "(0 = none) (default: 0)\n"
             "  --threads=<int>                  worker threads for "
-            "intra-level parallelism (default: 1) [alias: --num-threads]\n"
+            "intra-level parallelism (default: 1)\n"
             "  --timeout=<double>               abort after this many "
             "seconds (0 = none) (default: 0)\n"
             "  --max-level=<int>                stop after lattice level L "
             "(0 = none) (default: 0)\n"
             "  --emit-ods=<bool>                materialize FDs (false = "
-            "count only) (default: true) [alias: --emit-fds]\n");
+            "count only) (default: true)\n");
 }
 
-TEST(OptionRegistryTest, DeprecatedSpellingsStillResolve) {
-  // "emit-fds" survives as an alias of the canonical "emit-ods", and the
-  // historical underscore spellings resolve by hyphen normalization.
-  TaneAlgorithm tane;
-  ASSERT_TRUE(tane.SetOption("emit-fds", "false").ok());
-  ASSERT_TRUE(tane.SetOption("emit_ods", "true").ok());
+TEST(OptionRegistryTest, NonCanonicalSpellingsAreUnknown) {
+  // Each option has one spelling: the pre-1.0 aliases and the underscore
+  // forms are unknown options, and the error lists the canonical names.
   FastodAlgorithm fastod;
-  ASSERT_TRUE(fastod.SetOption("num-threads", "2").ok());
-  ASSERT_TRUE(fastod.SetOption("num_threads", "3").ok());
-  ASSERT_TRUE(fastod.SetOption("threads", "4").ok());
-  EXPECT_FALSE(fastod.SetOption("nope-threads", "4").ok());
-  const OptionInfo* info = fastod.FindOption("threads");
-  ASSERT_NE(info, nullptr);
-  ASSERT_EQ(info->aliases.size(), 1u);
-  EXPECT_EQ(info->aliases[0], "num-threads");
+  TaneAlgorithm tane;
+  const std::pair<Algorithm*, const char*> cases[] = {
+      {&fastod, "num-threads"}, {&fastod, "num_threads"},
+      {&tane, "emit-fds"},      {&tane, "emit_ods"}};
+  for (const auto& [algo, spelling] : cases) {
+    Status s = algo->SetOption(spelling, "2");
+    EXPECT_EQ(s.code(), StatusCode::kNotFound) << spelling;
+    EXPECT_NE(s.message().find("unknown option '" + std::string(spelling) +
+                               "'"),
+              std::string::npos)
+        << s.message();
+    EXPECT_EQ(algo->FindOption(spelling), nullptr) << spelling;
+  }
+  EXPECT_NE(tane.SetOption("num-threads", "2").message().find("emit-ods"),
+            std::string::npos);
+  EXPECT_TRUE(fastod.SetOption("threads", "4").ok());
+  EXPECT_EQ(fastod.discovery_options().num_threads, 4);
 }
 
 TEST(OptionRegistryTest, ApproximateSurfacesItsOwnDefault) {
@@ -451,7 +459,7 @@ TEST_F(ApiEquivalenceTest, TaneSinkStreamsFds) {
   CollectingOdSink count_only_sink;
   TaneAlgorithm count_only;
   count_only.SetSink(&count_only_sink);
-  ASSERT_TRUE(count_only.SetOption("emit-fds", "false").ok());
+  ASSERT_TRUE(count_only.SetOption("emit-ods", "false").ok());
   ASSERT_TRUE(count_only.LoadData(table_).ok());
   ASSERT_TRUE(count_only.Execute().ok());
   EXPECT_TRUE(count_only.result().fds.empty());

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <array>
 #include <optional>
+#include <ostream>
 #include <string>
 
 #include "algo/brute_force_discovery.h"
@@ -35,6 +36,14 @@ struct TableParam {
   int64_t max_domain;
   uint64_t seed;
 };
+
+// Prints "R10_C3_D2_S1": rows, columns, max domain, seed. ctest names
+// each instance after the printed value, so the names stay stable and
+// readable instead of dumping the struct's bytes (padding included).
+void PrintTo(const TableParam& p, std::ostream* os) {
+  *os << "R" << p.rows << "_C" << p.cols << "_D" << p.max_domain << "_S"
+      << p.seed;
+}
 
 void ExpectSameOds(const FastodResult& got,
                    const BruteForceDiscoveryResult& want) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "algo/fastod.h"
+#include "common/cancellation.h"
 #include "data/csv.h"
 #include "gen/date_dim.h"
 #include "gen/generators.h"
@@ -180,8 +182,10 @@ TEST(FastodTest, MaxLevelCapsSearch) {
 
 TEST(FastodTest, TimeoutProducesPartialResult) {
   Table t = GenHepatitisLike(150, 18, 5);
+  ExecutionControl control;
+  control.SetDeadlineAfter(std::chrono::nanoseconds(1));  // expire at once
   FastodOptions opt;
-  opt.timeout_seconds = 1e-9;  // expire immediately
+  opt.control = &control;
   auto result = Fastod(opt).Discover(t);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->timed_out);

@@ -3,12 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 
 #include "algo/fastod.h"
 #include "algo/order.h"
 #include "algo/tane.h"
 #include "axioms/inference.h"
+#include "common/cancellation.h"
 #include "data/csv.h"
 #include "data/encode.h"
 #include "gen/date_dim.h"
@@ -174,8 +176,10 @@ TEST(IntegrationTest, WideRelationStaysWithinBudget) {
   // 20 attributes on a small sample completes quickly thanks to pruning
   // (the paper's flight 1K×20 case finishes in under a second).
   Table t = GenFlightLike(500, 20, 2);
+  ExecutionControl control;
+  control.SetDeadlineAfter(std::chrono::seconds(60));
   FastodOptions opt;
-  opt.timeout_seconds = 60.0;
+  opt.control = &control;
   auto result = Fastod(opt).Discover(t);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result->timed_out);

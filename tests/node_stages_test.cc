@@ -3,10 +3,10 @@
 //
 // Pins the contract the engines build on: inline, in-order execution on
 // the caller at one thread; every node exactly once on the pool; a stop
-// (explicit, soft timeout, or the ExecutionControl's cancel and hard
-// deadline) seen before the next node at every thread count, with the
-// first recorded reason kept; and a throwing body reaching the caller
-// without leaving the stages unusable.
+// (explicit, or the ExecutionControl's deadline and cancel) seen before
+// the next node at every thread count, with the first recorded reason
+// kept; and a throwing body reaching the caller without leaving the
+// stages unusable.
 #include "algo/node_stages.h"
 
 #include <gtest/gtest.h>
@@ -23,7 +23,7 @@ namespace fastod {
 namespace {
 
 TEST(NodeStagesTest, OneThreadRunsInlineOnCallerInNodeOrder) {
-  NodeStages stages(1, "ns-test", 0.0, nullptr);
+  NodeStages stages(1, "ns-test", nullptr);
   EXPECT_EQ(stages.party(), 1);
   const std::thread::id caller = std::this_thread::get_id();
   std::vector<int64_t> order;
@@ -40,7 +40,7 @@ TEST(NodeStagesTest, OneThreadRunsInlineOnCallerInNodeOrder) {
 }
 
 TEST(NodeStagesTest, PooledRunVisitsEveryNodeOnceAndMeasuresBusyTime) {
-  NodeStages stages(4, "ns-test", 0.0, nullptr);
+  NodeStages stages(4, "ns-test", nullptr);
   EXPECT_EQ(stages.party(), 4);  // three workers plus the caller
   std::vector<std::atomic<int>> hits(500);
   for (auto& h : hits) h.store(0);
@@ -56,7 +56,7 @@ TEST(NodeStagesTest, PooledRunVisitsEveryNodeOnceAndMeasuresBusyTime) {
 }
 
 TEST(NodeStagesTest, RequestStopSkipsEveryLaterNodeAtOneThread) {
-  NodeStages stages(1, "ns-test", 0.0, nullptr);
+  NodeStages stages(1, "ns-test", nullptr);
   int ran = 0;
   stages.ForEach(100, [&](int64_t i) {
     ++ran;
@@ -73,7 +73,7 @@ TEST(NodeStagesTest, ControlCancelIsSeenWithinTheLoopAtEveryThreadCount) {
   for (int threads : {1, 4}) {
     SCOPED_TRACE(threads);
     ExecutionControl control;
-    NodeStages stages(threads, "ns-test", 0.0, &control);
+    NodeStages stages(threads, "ns-test", &control);
     std::atomic<int64_t> ran{0};
     stages.ForEach(100000, [&](int64_t i) {
       ran.fetch_add(1);
@@ -90,10 +90,12 @@ TEST(NodeStagesTest, ControlCancelIsSeenWithinTheLoopAtEveryThreadCount) {
   }
 }
 
-TEST(NodeStagesTest, SoftTimeoutRecordsTimedOutBeforeTheFirstNode) {
+TEST(NodeStagesTest, ControlDeadlineRecordsTimedOutBeforeTheFirstNode) {
   for (int threads : {1, 3}) {
     SCOPED_TRACE(threads);
-    NodeStages stages(threads, "ns-test", 0.001, nullptr);
+    ExecutionControl control;
+    control.SetDeadlineAfter(std::chrono::milliseconds(1));
+    NodeStages stages(threads, "ns-test", &control);
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     std::atomic<int> ran{0};
     stages.ForEach(64, [&](int64_t) { ran.fetch_add(1); });
@@ -103,25 +105,27 @@ TEST(NodeStagesTest, SoftTimeoutRecordsTimedOutBeforeTheFirstNode) {
 }
 
 TEST(NodeStagesTest, FirstRecordedStopReasonIsKept) {
-  NodeStages stages(1, "ns-test", 0.0, nullptr);
+  NodeStages stages(1, "ns-test", nullptr);
   stages.RequestStop(NodeStages::kTimedOut);
   stages.RequestStop(NodeStages::kCancelled);
   EXPECT_EQ(stages.stop(), NodeStages::kTimedOut);
   EXPECT_TRUE(stages.StopRequested());
 
-  // The control's hard deadline is a cancellation, not a soft timeout.
+  // A passed control deadline is recorded as a timeout even when a
+  // cancel arrived too: the deadline is polled first.
   ExecutionControl control;
-  control.SetDeadlineAfterMillis(1);
-  NodeStages deadlined(2, "ns-test", 0.0, &control);
+  control.SetDeadlineAfter(std::chrono::milliseconds(1));
+  control.RequestCancel();
+  NodeStages deadlined(2, "ns-test", &control);
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_TRUE(deadlined.StopRequested());
-  EXPECT_EQ(deadlined.stop(), NodeStages::kCancelled);
+  EXPECT_EQ(deadlined.stop(), NodeStages::kTimedOut);
 }
 
 TEST(NodeStagesTest, BodyExceptionReachesCallerAndStagesStayUsable) {
   for (int threads : {1, 3}) {
     SCOPED_TRACE(threads);
-    NodeStages stages(threads, "ns-test", 0.0, nullptr);
+    NodeStages stages(threads, "ns-test", nullptr);
     EXPECT_THROW(stages.ForEach(200,
                                 [](int64_t i) {
                                   if (i == 5) {

@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "algo/fastod.h"
 #include "algo/order.h"
+#include "common/cancellation.h"
 #include "data/csv.h"
 #include "data/encode.h"
 #include "gen/generators.h"
@@ -128,8 +130,10 @@ TEST(OrderTest, MinimalityDropsPrefixImpliedOds) {
 
 TEST(OrderTest, TimeoutFlagPropagates) {
   Table t = GenNcvoterLike(300, 14, 4);
+  ExecutionControl control;
+  control.SetDeadlineAfter(std::chrono::nanoseconds(1));
   OrderOptions opt;
-  opt.timeout_seconds = 1e-9;
+  opt.control = &control;
   OrderResult r = OrderBaseline(opt).Discover(Encode(t));
   EXPECT_TRUE(r.timed_out);
 }

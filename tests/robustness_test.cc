@@ -5,6 +5,9 @@
 //
 //  * a timeout-ms=50 session on a non-trivial table ends failed with
 //    kDeadlineExceeded and the worker is reusable immediately after;
+//  * ORDER stops within one candidate check of a passed timeout-ms (with
+//    no control attached too), a cancel, or a soft timeout, which keeps
+//    the partial report;
 //  * with the admission cap saturated the next POST /v1/sessions is a
 //    429 carrying Retry-After, while the in-flight stream keeps
 //    delivering and closes with a clean end line;
@@ -31,6 +34,7 @@
 #include <vector>
 
 #include "api/engines.h"
+#include "api/od_sink.h"
 #include "api/registry.h"
 #include "common/cancellation.h"
 #include "common/json.h"
@@ -343,7 +347,7 @@ TEST(DeadlineTest, ExecutionControlDeadlineTripsAndClears) {
   ExecutionControl control;
   EXPECT_FALSE(control.HasDeadline());
   EXPECT_FALSE(control.StopRequested());
-  control.SetDeadlineAfterMillis(1);
+  control.SetDeadlineAfter(std::chrono::milliseconds(1));
   EXPECT_TRUE(control.HasDeadline());
   WallTimer timer;
   while (!control.DeadlineExceeded() && timer.ElapsedSeconds() < 5.0) {
@@ -352,10 +356,25 @@ TEST(DeadlineTest, ExecutionControlDeadlineTripsAndClears) {
   EXPECT_TRUE(control.DeadlineExceeded());
   EXPECT_TRUE(control.StopRequested());    // deadline alone stops a run
   EXPECT_FALSE(control.CancelRequested());  // ...without being a cancel
-  control.SetDeadlineAfterMillis(0);  // disarm
+  control.SetDeadlineAfter(std::chrono::nanoseconds(0));  // disarm
   EXPECT_FALSE(control.HasDeadline());
   EXPECT_FALSE(control.StopRequested());
-  control.SetDeadlineAfterMillis(1);
+  // Sub-millisecond arms keep their resolution: one nanosecond has
+  // passed by the next poll, while a minute is nowhere near.
+  control.SetDeadlineAfter(std::chrono::nanoseconds(1));
+  EXPECT_TRUE(control.HasDeadline());
+  WallTimer spin;
+  while (!control.DeadlineExceeded() && spin.ElapsedSeconds() < 5.0) {
+  }
+  EXPECT_TRUE(control.DeadlineExceeded());
+  EXPECT_LT(spin.ElapsedSeconds(), 0.001);
+  control.SetDeadlineAfter(std::chrono::minutes(1));
+  EXPECT_FALSE(control.DeadlineExceeded());
+  // An arm past the clock's range saturates instead of wrapping into
+  // the past.
+  control.SetDeadlineAfter(std::chrono::nanoseconds::max());
+  EXPECT_TRUE(control.HasDeadline());
+  EXPECT_FALSE(control.DeadlineExceeded());
   control.Reset();  // Reset clears the deadline with everything else
   EXPECT_FALSE(control.HasDeadline());
 }
@@ -420,8 +439,8 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->error_code, StatusCode::kDeadlineExceeded)
       << info->error;
-  // Engines stop at per-level and every-256-node safepoints; allow CI
-  // slack far beyond the ~2x-deadline typical case.
+  // FASTOD stops at its next lattice node; allow CI slack far beyond
+  // the ~2x-deadline typical case.
   EXPECT_LT(elapsed, 5.0);
   // The worker that hit the deadline must take the next run at once.
   Result<SessionId> next = service.Create("fastod");
@@ -431,6 +450,64 @@ TEST(DeadlineTest, FastodSessionDeadlineFailsAndWorkerIsReusable) {
   Result<SessionState> next_state = service.Wait(*next);
   ASSERT_TRUE(next_state.ok());
   EXPECT_EQ(*next_state, SessionState::kDone);
+}
+
+// One control carries both deadlines and the cancel into ORDER, which
+// polls it after every candidate check. On flight 2000x9 its full search
+// takes ~17 s; polled only at level ends, a stop waited out the level.
+
+TEST(DeadlineTest, OrderTimeoutMsStopsMidRunWithNoControlAttached) {
+  OrderAlgorithm algo;  // no SetControl: the algorithm's own control
+  ASSERT_TRUE(algo.LoadData(GenFlightLike(2000, 9)).ok());
+  ASSERT_TRUE(algo.SetOption("timeout-ms", "50").ok());
+  WallTimer timer;
+  Status status = algo.Execute();
+  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded)
+      << status.ToString();
+  EXPECT_LT(timer.ElapsedSeconds(), 2.0);
+}
+
+// Cancels the control from inside the run, when the first OD over
+// `length` attributes is emitted: ORDER is then inside level `length`.
+class CancelAtListLength : public OdSink {
+ public:
+  CancelAtListLength(ExecutionControl* control, size_t length)
+      : control_(control), length_(length) {}
+  void OnListOd(const ListOd& od) override {
+    if (od.lhs.size() + od.rhs.size() == length_) control_->RequestCancel();
+  }
+
+ private:
+  ExecutionControl* control_;
+  size_t length_;
+};
+
+TEST(DeadlineTest, OrderCancelStopsInsideTheLevel) {
+  // Counted in levels, not seconds, so it holds at any build speed:
+  // the cancel arrives inside level 3 (1,008 candidates), and the run
+  // must stop before finishing it.
+  ExecutionControl control;
+  CancelAtListLength sink(&control, 3);
+  OrderAlgorithm algo;
+  algo.SetControl(&control);
+  algo.SetSink(&sink);
+  ASSERT_TRUE(algo.LoadData(GenFlightLike(2000, 9)).ok());
+  ASSERT_TRUE(algo.Execute().ok());
+  ASSERT_TRUE(control.CancelRequested());
+  EXPECT_TRUE(algo.result().cancelled);
+  EXPECT_FALSE(algo.result().timed_out);
+  EXPECT_EQ(algo.result().levels_processed, 2);
+}
+
+TEST(DeadlineTest, OrderSoftTimeoutReturnsPartialReport) {
+  OrderAlgorithm algo;
+  ASSERT_TRUE(algo.LoadData(GenFlightLike(2000, 9)).ok());
+  ASSERT_TRUE(algo.SetOption("timeout", "0.05").ok());
+  WallTimer timer;
+  Status status = algo.Execute();
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_LT(timer.ElapsedSeconds(), 2.0);
+  EXPECT_NE(algo.ResultJson().find("\"timed_out\": true"), std::string::npos);
 }
 
 // ------------------------------------------------ admission: service

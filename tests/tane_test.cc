@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 
 #include "algo/brute_force_discovery.h"
 #include "algo/tane.h"
+#include "common/cancellation.h"
 #include "data/csv.h"
 #include "data/encode.h"
 #include "gen/generators.h"
@@ -76,8 +78,10 @@ TEST(TaneTest, EmployeeTableFds) {
 
 TEST(TaneTest, TimeoutFlagPropagates) {
   Table t = GenDbtesmaLike(500, 20, 3);
+  ExecutionControl control;
+  control.SetDeadlineAfter(std::chrono::nanoseconds(1));
   TaneOptions opt;
-  opt.timeout_seconds = 1e-9;
+  opt.control = &control;
   TaneResult r = Tane(opt).Discover(Encode(t));
   EXPECT_TRUE(r.timed_out);
 }
